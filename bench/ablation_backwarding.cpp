@@ -9,12 +9,10 @@
 
 #include "bench_common.h"
 
-int main() {
-  using namespace adc;
-
-  const double scale = bench::bench_scale();
-  const workload::Trace trace = bench::paper_trace(scale);
-  bench::print_run_banner("Ablation: multicast-by-backwarding on vs off", scale, trace);
+int adc::bench::ablation_backwarding(bench::Context& ctx) {
+  const double scale = ctx.scale;
+  const workload::Trace& trace = ctx.trace();
+  bench::print_run_banner(ctx);
 
   driver::ExperimentConfig multicast = bench::paper_config(scale);
   driver::ExperimentConfig endpoint_only = multicast;

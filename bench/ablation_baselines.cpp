@@ -10,12 +10,10 @@
 
 #include "bench_common.h"
 
-int main() {
-  using namespace adc;
-
-  const double scale = bench::bench_scale();
-  const workload::Trace trace = bench::paper_trace(scale);
-  bench::print_run_banner("Ablation: ADC vs all baselines", scale, trace);
+int adc::bench::ablation_baselines(bench::Context& ctx) {
+  const double scale = ctx.scale;
+  const workload::Trace& trace = ctx.trace();
+  bench::print_run_banner(ctx);
 
   const driver::ExperimentConfig base = bench::paper_config(scale);
   const std::vector<driver::Scheme> schemes = {

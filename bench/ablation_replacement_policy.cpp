@@ -11,13 +11,10 @@
 
 #include "bench_common.h"
 
-int main() {
-  using namespace adc;
-
-  const double scale = bench::bench_scale();
-  const workload::Trace trace = bench::paper_trace(scale);
-  bench::print_run_banner("Ablation: CARP replacement policy (LRU/FIFO/LFU) vs ADC", scale,
-                          trace);
+int adc::bench::ablation_replacement_policy(bench::Context& ctx) {
+  const double scale = ctx.scale;
+  const workload::Trace& trace = ctx.trace();
+  bench::print_run_banner(ctx);
 
   std::vector<std::vector<std::string>> rows;
   rows.push_back({"configuration", "hit_rate", "avg_hops", "origin_fetches"});

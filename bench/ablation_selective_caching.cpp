@@ -8,12 +8,10 @@
 
 #include "bench_common.h"
 
-int main() {
-  using namespace adc;
-
-  const double scale = bench::bench_scale();
-  const workload::Trace trace = bench::paper_trace(scale);
-  bench::print_run_banner("Ablation: selective caching vs admit-all LRU", scale, trace);
+int adc::bench::ablation_selective_caching(bench::Context& ctx) {
+  const double scale = ctx.scale;
+  const workload::Trace& trace = ctx.trace();
+  bench::print_run_banner(ctx);
 
   driver::ExperimentConfig selective = bench::paper_config(scale);
   driver::ExperimentConfig lru_all = selective;

@@ -10,12 +10,10 @@
 
 #include "bench_common.h"
 
-int main() {
-  using namespace adc;
-
-  const double scale = bench::bench_scale();
-  const workload::Trace trace = bench::paper_trace(scale);
-  bench::print_run_banner("Ablation: faithful vs indexed table structures", scale, trace);
+int adc::bench::ablation_table_impl(bench::Context& ctx) {
+  const double scale = ctx.scale;
+  const workload::Trace& trace = ctx.trace();
+  bench::print_run_banner(ctx);
 
   driver::ExperimentConfig faithful = bench::paper_config(scale);
   faithful.adc.table_impl = cache::TableImpl::kFaithful;

@@ -11,12 +11,10 @@
 
 #include "bench_common.h"
 
-int main() {
-  using namespace adc;
-
-  const double scale = bench::bench_scale();
-  const workload::Trace trace = bench::paper_trace(scale);
-  bench::print_run_banner("Ablation: bounded vs unlimited mapping tables", scale, trace);
+int adc::bench::ablation_unlimited_tables(bench::Context& ctx) {
+  const double scale = ctx.scale;
+  const workload::Trace& trace = ctx.trace();
+  bench::print_run_banner(ctx);
 
   driver::ExperimentConfig bounded = bench::paper_config(scale);
   bounded.sample_every = 0;

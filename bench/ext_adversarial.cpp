@@ -38,14 +38,13 @@ struct Scenario {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const double scale = bench::bench_scale() * bench::bench_extra_scale(argc, argv);
-  const int workers = driver::resolve_workers(bench::bench_workers(argc, argv));
-  const std::string json_path = bench::bench_json_path(argc, argv);
+int adc::bench::ext_adversarial(bench::Context& ctx) {
+  const double scale = ctx.scale * ctx.extra_scale;
+  const int workers = ctx.workers();
+  const std::string json_path = ctx.json_path;
   const auto requests = static_cast<std::uint64_t>(3'990'000 * scale);
 
-  std::cout << "# Extension: adversarial workloads (hash-flood, flash-crowd, diurnal), scale="
-            << scale << ", workers=" << workers << "\n";
+  std::cout << "# " << ctx.title << ", scale=" << scale << ", workers=" << workers << "\n";
 
   std::vector<Scenario> scenarios;
   {

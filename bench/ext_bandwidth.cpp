@@ -14,9 +14,7 @@
 //      stripe peers (chunk_requests_skipped counts the avoided asks);
 //      with it off, every survivor is asked.
 //
-// Accepts --workers N (0 = hardware concurrency) and --json PATH for a
-// machine-readable artifact; the grid is bit-identical at any worker
-// count.
+// The grid is bit-identical at any --workers count.
 #include <algorithm>
 #include <cmath>
 #include <iostream>
@@ -24,15 +22,10 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "fault/fault_plan.h"
 
 namespace {
 
 using namespace adc;
-
-std::string mb(std::uint64_t bytes) {
-  return driver::fmt(static_cast<double>(bytes) / (1024.0 * 1024.0), 1);
-}
 
 std::string egress_label(std::uint64_t bytes_per_sec) {
   if (bytes_per_sec == 0) return "unlimited";
@@ -41,13 +34,12 @@ std::string egress_label(std::uint64_t bytes_per_sec) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const double scale = bench::bench_scale();
-  const workload::Trace trace = bench::paper_trace(scale);
-  bench::print_run_banner("Extension: bandwidth-modeled links and transfer scheduling", scale,
-                          trace);
-  const int workers = bench::bench_workers(argc, argv);
-  const std::string json_path = bench::bench_json_path(argc, argv);
+int adc::bench::ext_bandwidth(bench::Context& ctx) {
+  const double scale = ctx.scale;
+  const workload::Trace& trace = ctx.trace();
+  bench::print_run_banner(ctx);
+  const int workers = ctx.workers();
+  const std::string json_path = ctx.json_path;
   std::vector<std::vector<driver::JsonField>> json_rows;
 
   const std::vector<driver::Scheme> schemes = {
@@ -128,8 +120,7 @@ int main(int argc, char** argv) {
   // (sweep_configs is scheme-major: carp is scheme 1, 4MB/s is egress
   // step 2).
   const driver::ExperimentResult& probe = swept[1 * origin_sweep.size() + 2];
-  const auto deadline = std::max<SimTime>(
-      static_cast<SimTime>(std::llround(probe.latency_p99 * 20.0)), 1000);
+  const auto deadline = bench::request_deadline(probe);
 
   std::vector<driver::ExperimentConfig> recovery_configs;
   for (const bool link_on : {false, true}) {
@@ -138,12 +129,7 @@ int main(int argc, char** argv) {
     config.membership.swim.enabled = true;
     config.payload.erasure.enabled = true;
     config.payload.erasure.data_chunks = kRecoveryDataChunks;
-    fault::CrashWindow window;
-    window.node = 2;
-    window.at = static_cast<SimTime>(static_cast<double>(probe.sim_end_time) * kCrashAt);
-    window.restart = kSimTimeMax;  // permanent: the member never returns
-    window.flush_state = true;
-    config.fault_plan.crashes.push_back(window);
+    config.fault_plan.crashes.push_back(bench::permanent_crash(probe, 2, kCrashAt));
     config.request_timeout = deadline;
     recovery_configs.push_back(config);
   }

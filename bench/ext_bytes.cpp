@@ -15,9 +15,7 @@
 //      replacement policy decides which bytes stay; GDSF and size-aware
 //      LRU trade large-object hits for small-object ones.
 //
-// Accepts --workers N (0 = hardware concurrency) and --json PATH for a
-// machine-readable artifact; the grid is bit-identical at any worker
-// count.
+// The grid is bit-identical at any --workers count.
 #include <algorithm>
 #include <cmath>
 #include <iostream>
@@ -25,25 +23,13 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "fault/fault_plan.h"
 
-namespace {
-
-using namespace adc;
-
-std::string mb(std::uint64_t bytes) {
-  return driver::fmt(static_cast<double>(bytes) / (1024.0 * 1024.0), 1);
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  const double scale = bench::bench_scale();
-  const workload::Trace trace = bench::paper_trace(scale);
-  bench::print_run_banner("Extension: payload bytes, size-aware policies, erasure tier", scale,
-                          trace);
-  const int workers = bench::bench_workers(argc, argv);
-  const std::string json_path = bench::bench_json_path(argc, argv);
+int adc::bench::ext_bytes(bench::Context& ctx) {
+  const double scale = ctx.scale;
+  const workload::Trace& trace = ctx.trace();
+  bench::print_run_banner(ctx);
+  const int workers = ctx.workers();
+  const std::string json_path = ctx.json_path;
   std::vector<std::vector<driver::JsonField>> json_rows;
 
   const std::vector<driver::Scheme> schemes = {
@@ -85,19 +71,12 @@ int main(int argc, char** argv) {
   std::vector<driver::ExperimentConfig> crash_configs;
   for (std::size_t s = 0; s < crash_schemes.size(); ++s) {
     const driver::ExperimentResult& probe = healthy[s];  // adc, carp lead the list
-    const auto deadline = std::max<SimTime>(
-        static_cast<SimTime>(std::llround(probe.latency_p99 * 20.0)), 1000);
+    const auto deadline = bench::request_deadline(probe);
     for (const bool erasure : {false, true}) {
       driver::ExperimentConfig config = probes[s];
       config.membership.swim.enabled = true;
       config.payload.erasure.enabled = erasure;
-      fault::CrashWindow window;
-      window.node = 2;
-      window.at =
-          static_cast<SimTime>(static_cast<double>(probe.sim_end_time) * kCrashAt);
-      window.restart = kSimTimeMax;  // permanent: the member never returns
-      window.flush_state = true;
-      config.fault_plan.crashes.push_back(window);
+      config.fault_plan.crashes.push_back(bench::permanent_crash(probe, 2, kCrashAt));
       config.request_timeout = deadline;
       crash_configs.push_back(config);
     }

@@ -9,8 +9,7 @@
 // around the damage (stale table entries invalidate into origin fetches
 // and relearn); CARP keeps hashing into the dead owner until it returns.
 //
-// Accepts --workers N (0 = hardware concurrency); the grid is
-// bit-identical at any worker count.
+// The grid is bit-identical at any --workers count.
 #include <algorithm>
 #include <cmath>
 #include <iostream>
@@ -24,19 +23,6 @@ namespace {
 
 using namespace adc;
 
-double window_mean(const std::vector<sim::SeriesPoint>& series, std::uint64_t begin,
-                   std::uint64_t end) {
-  double sum = 0.0;
-  std::size_t n = 0;
-  for (const auto& point : series) {
-    if (point.requests > begin && point.requests <= end) {
-      sum += point.hit_rate;
-      ++n;
-    }
-  }
-  return n == 0 ? 0.0 : sum / static_cast<double>(n);
-}
-
 struct ChurnSchedule {
   const char* name;
   /// Crash windows as fractions of the healthy run's simulated duration.
@@ -45,11 +31,11 @@ struct ChurnSchedule {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const double scale = bench::bench_scale();
-  const workload::Trace trace = bench::paper_trace(scale);
-  bench::print_run_banner("Extension: message loss x proxy churn", scale, trace);
-  const int workers = bench::bench_workers(argc, argv);
+int adc::bench::ext_churn(bench::Context& ctx) {
+  const double scale = ctx.scale;
+  const workload::Trace& trace = ctx.trace();
+  bench::print_run_banner(ctx);
+  const int workers = ctx.workers();
 
   const std::vector<driver::Scheme> schemes = {driver::Scheme::kAdc, driver::Scheme::kCarp};
   const std::vector<double> losses = {0.0, 0.02, 0.05};
@@ -74,8 +60,7 @@ int main(int argc, char** argv) {
   std::vector<driver::ExperimentConfig> configs;
   for (std::size_t s = 0; s < schemes.size(); ++s) {
     const SimTime sim_end = probe_results[s].sim_end_time;
-    const auto deadline = std::max<SimTime>(
-        static_cast<SimTime>(std::llround(probe_results[s].latency_p99 * 20.0)), 1000);
+    const auto deadline = bench::request_deadline(probe_results[s]);
     for (const double loss : losses) {
       for (const ChurnSchedule& churn : churns) {
         driver::ExperimentConfig config = probes[s];

@@ -13,29 +13,10 @@
 
 #include "bench_common.h"
 
-namespace {
-
-using namespace adc;
-
-double window_mean(const std::vector<sim::SeriesPoint>& series, std::uint64_t begin,
-                   std::uint64_t end) {
-  double sum = 0.0;
-  std::size_t n = 0;
-  for (const auto& point : series) {
-    if (point.requests > begin && point.requests <= end) {
-      sum += point.hit_rate;
-      ++n;
-    }
-  }
-  return n == 0 ? 0.0 : sum / static_cast<double>(n);
-}
-
-}  // namespace
-
-int main() {
-  const double scale = bench::bench_scale();
-  const workload::Trace trace = bench::paper_trace(scale);
-  bench::print_run_banner("Extension: proxy cold-restart and recovery", scale, trace);
+int adc::bench::ext_failover(bench::Context& ctx) {
+  const double scale = ctx.scale;
+  const workload::Trace& trace = ctx.trace();
+  bench::print_run_banner(ctx);
 
   const auto fault_at = static_cast<std::uint64_t>(trace.size() * 3 / 5);
   const std::uint64_t window = std::max<std::uint64_t>(trace.size() / 20, 1000);

@@ -12,13 +12,18 @@
 #include "bench_common.h"
 #include "driver/analysis.h"
 
-int main() {
-  using namespace adc;
+int adc::bench::ext_heterogeneous(bench::Context& ctx) {
+  const double scale = ctx.scale;
+  const workload::Trace& trace = ctx.trace();
+  bench::print_run_banner(ctx);
 
-  const double scale = bench::bench_scale();
-  const workload::Trace trace = bench::paper_trace(scale);
-  bench::print_run_banner("Extension: one slow proxy (10x message processing delay)",
-                          scale, trace);
+  // Fraction of proxy-received requests that landed on the slow proxy[2].
+  const auto slow_share = [](const driver::ExperimentResult& result) {
+    const driver::LoadStats load = driver::load_balance(result.proxies);
+    return load.total == 0 ? 0.0
+                           : static_cast<double>(result.proxies[2].requests_received) /
+                                 static_cast<double>(load.total);
+  };
 
   std::vector<std::vector<std::string>> rows;
   rows.push_back({"scheme", "latency_even", "latency_slow", "penalty",
@@ -35,18 +40,12 @@ int main() {
     const auto even_result = driver::run_experiment(even, trace);
     const auto slow_result = driver::run_experiment(slow, trace);
 
-    const auto& victim = slow_result.proxies[2];
-    const driver::LoadStats load = driver::load_balance(slow_result.proxies);
-    const double share = load.total == 0
-                             ? 0.0
-                             : static_cast<double>(victim.requests_received) /
-                                   static_cast<double>(load.total);
     rows.push_back({std::string(driver::scheme_name(scheme)),
                     driver::fmt(even_result.summary.avg_latency(), 2),
                     driver::fmt(slow_result.summary.avg_latency(), 2),
                     driver::fmt(slow_result.summary.avg_latency() -
                                     even_result.summary.avg_latency(), 2),
-                    driver::fmt(share, 3),
+                    driver::fmt(slow_share(slow_result), 3),
                     driver::fmt(slow_result.summary.hit_rate(), 3)});
   }
   // CARP's own remedy: shrink the slow member's load factor so the hash
@@ -59,14 +58,9 @@ int main() {
     remedied.slow_proxy_delay = 20;
     remedied.carp_load_factors = {1.0, 1.0, 0.25, 1.0, 1.0};
     const auto result = driver::run_experiment(remedied, trace);
-    const auto& victim = result.proxies[2];
-    const driver::LoadStats load = driver::load_balance(result.proxies);
-    const double share = load.total == 0
-                             ? 0.0
-                             : static_cast<double>(victim.requests_received) /
-                                   static_cast<double>(load.total);
     rows.push_back({"carp+loadfactor", "-", driver::fmt(result.summary.avg_latency(), 2), "-",
-                    driver::fmt(share, 3), driver::fmt(result.summary.hit_rate(), 3)});
+                    driver::fmt(slow_share(result), 3),
+                    driver::fmt(result.summary.hit_rate(), 3)});
   }
 
   driver::print_table(std::cout, rows);

@@ -11,12 +11,10 @@
 
 #include "bench_common.h"
 
-int main() {
-  using namespace adc;
-
-  const double scale = bench::bench_scale();
-  const workload::Trace trace = bench::paper_trace(scale);
-  bench::print_run_banner("Extension: max-forwards sweep", scale, trace);
+int adc::bench::ext_max_forwards(bench::Context& ctx) {
+  const double scale = ctx.scale;
+  const workload::Trace& trace = ctx.trace();
+  bench::print_run_banner(ctx);
 
   std::vector<std::vector<std::string>> rows;
   rows.push_back({"max_forwards", "hit_rate", "avg_hops", "loops", "max_forwards_hit"});

@@ -12,8 +12,7 @@
 // burns a timeout or a degraded origin fetch, forever) into a one-time
 // reshuffle whose post-crash hit rate re-approaches the healthy run.
 //
-// Accepts --workers N (0 = hardware concurrency); the grid is
-// bit-identical at any worker count.
+// The grid is bit-identical at any --workers count.
 #include <algorithm>
 #include <cmath>
 #include <iostream>
@@ -21,33 +20,12 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "fault/fault_plan.h"
 
-namespace {
-
-using namespace adc;
-
-double window_mean(const std::vector<sim::SeriesPoint>& series, std::uint64_t begin,
-                   std::uint64_t end) {
-  double sum = 0.0;
-  std::size_t n = 0;
-  for (const auto& point : series) {
-    if (point.requests > begin && point.requests <= end) {
-      sum += point.hit_rate;
-      ++n;
-    }
-  }
-  return n == 0 ? 0.0 : sum / static_cast<double>(n);
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  const double scale = bench::bench_scale();
-  const workload::Trace trace = bench::paper_trace(scale);
-  bench::print_run_banner("Extension: membership vs static view under permanent loss", scale,
-                          trace);
-  const int workers = bench::bench_workers(argc, argv);
+int adc::bench::ext_membership(bench::Context& ctx) {
+  const double scale = ctx.scale;
+  const workload::Trace& trace = ctx.trace();
+  bench::print_run_banner(ctx);
+  const int workers = ctx.workers();
 
   const std::vector<driver::Scheme> schemes = {driver::Scheme::kAdc, driver::Scheme::kCarp};
   constexpr double kCrashAt = 0.35;  // fraction of the healthy simulated run
@@ -64,17 +42,11 @@ int main(int argc, char** argv) {
 
   std::vector<driver::ExperimentConfig> configs;
   for (std::size_t s = 0; s < schemes.size(); ++s) {
-    const auto deadline = std::max<SimTime>(
-        static_cast<SimTime>(std::llround(probe_results[s].latency_p99 * 20.0)), 1000);
+    const auto deadline = bench::request_deadline(probe_results[s]);
     for (const bool membership : {false, true}) {
       driver::ExperimentConfig config = probes[s];
-      fault::CrashWindow window;
-      window.node = 2;
-      window.at = static_cast<SimTime>(static_cast<double>(probe_results[s].sim_end_time) *
-                                       kCrashAt);
-      window.restart = kSimTimeMax;  // permanent: the member never returns
-      window.flush_state = true;
-      config.fault_plan.crashes.push_back(window);
+      config.fault_plan.crashes.push_back(
+          bench::permanent_crash(probe_results[s], 2, kCrashAt));
       config.request_timeout = deadline;
       config.membership.swim.enabled = membership;
       configs.push_back(config);

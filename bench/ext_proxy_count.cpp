@@ -13,13 +13,11 @@
 
 #include "bench_common.h"
 
-int main(int argc, char** argv) {
-  using namespace adc;
-
-  const double scale = bench::bench_scale();
-  const int workers = driver::resolve_workers(bench::bench_workers(argc, argv));
-  const workload::Trace trace = bench::paper_trace(scale);
-  bench::print_run_banner("Extension: number of proxies (1..12)", scale, trace);
+int adc::bench::ext_proxy_count(bench::Context& ctx) {
+  const double scale = ctx.scale;
+  const int workers = ctx.workers();
+  const workload::Trace& trace = ctx.trace();
+  bench::print_run_banner(ctx);
   std::cout << "# workers=" << workers << '\n';
 
   // Interleave ADC and CARP configs per proxy count and fan the whole grid

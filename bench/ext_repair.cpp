@@ -17,14 +17,12 @@
 //      whose stripe contained all three victims; the repaired one strands
 //      nothing.
 //
-// The binary exits nonzero when the repair invariants fail — no healed
+// The experiment exits nonzero when the repair invariants fail — no healed
 // stripe, a round over the byte budget, or a repaired run stranding more
 // than its unrepaired twin — so the CI job is a real check, not just an
 // artifact upload.
 //
-// Accepts --workers N (0 = hardware concurrency) and --json PATH for a
-// machine-readable artifact; the grid is bit-identical at any worker
-// count.
+// The grid is bit-identical at any --workers count.
 #include <algorithm>
 #include <cmath>
 #include <iostream>
@@ -32,7 +30,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "fault/fault_plan.h"
 
 namespace {
 
@@ -41,29 +38,14 @@ using namespace adc;
 constexpr int kProxies = 8;
 constexpr std::uint64_t kRepairBudget = 256 * 1024;  // > the largest chunk
 
-std::string mb(std::uint64_t bytes) {
-  return driver::fmt(static_cast<double>(bytes) / (1024.0 * 1024.0), 1);
-}
-
-fault::CrashWindow crash_at(const driver::ExperimentResult& probe, NodeId node,
-                            double fraction) {
-  fault::CrashWindow window;
-  window.node = node;
-  window.at = static_cast<SimTime>(static_cast<double>(probe.sim_end_time) * fraction);
-  window.restart = kSimTimeMax;  // permanent: the member never returns
-  window.flush_state = true;
-  return window;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  const double scale = bench::bench_scale();
-  const workload::Trace trace = bench::paper_trace(scale);
-  bench::print_run_banner("Extension: proactive re-stripe repair vs the multi-death window",
-                          scale, trace);
-  const int workers = bench::bench_workers(argc, argv);
-  const std::string json_path = bench::bench_json_path(argc, argv);
+int adc::bench::ext_repair(bench::Context& ctx) {
+  const double scale = ctx.scale;
+  const workload::Trace& trace = ctx.trace();
+  bench::print_run_banner(ctx);
+  const int workers = ctx.workers();
+  const std::string json_path = ctx.json_path;
   std::vector<std::vector<driver::JsonField>> json_rows;
 
   const std::vector<driver::Scheme> schemes = {driver::Scheme::kAdc, driver::Scheme::kCarp};
@@ -89,16 +71,15 @@ int main(int argc, char** argv) {
   std::vector<driver::ExperimentConfig> two_death_configs;
   for (std::size_t s = 0; s < schemes.size(); ++s) {
     const driver::ExperimentResult& probe = healthy[s];
-    const auto deadline = std::max<SimTime>(
-        static_cast<SimTime>(std::llround(probe.latency_p99 * 20.0)), 1000);
+    const auto deadline = bench::request_deadline(probe);
     for (const bool repair : {false, true}) {
       driver::ExperimentConfig config = probes[s];
       config.membership.swim.enabled = true;
       config.payload.erasure.directory_budget = dir_budget;
       config.payload.erasure.restripe = repair;
       config.payload.erasure.repair_bytes_per_round = kRepairBudget;
-      config.fault_plan.crashes.push_back(crash_at(probe, 2, 0.30));
-      config.fault_plan.crashes.push_back(crash_at(probe, 5, 0.55));
+      config.fault_plan.crashes.push_back(bench::permanent_crash(probe, 2, 0.30));
+      config.fault_plan.crashes.push_back(bench::permanent_crash(probe, 5, 0.55));
       config.request_timeout = deadline;
       two_death_configs.push_back(config);
     }
@@ -167,16 +148,15 @@ int main(int argc, char** argv) {
   std::vector<driver::ExperimentConfig> three_death_configs;
   for (std::size_t s = 0; s < schemes.size(); ++s) {
     const driver::ExperimentResult& probe = healthy[s];
-    const auto deadline = std::max<SimTime>(
-        static_cast<SimTime>(std::llround(probe.latency_p99 * 20.0)), 1000);
+    const auto deadline = bench::request_deadline(probe);
     for (const bool repair : {false, true}) {
       driver::ExperimentConfig config = probes[s];
       config.membership.swim.enabled = true;
       config.payload.erasure.restripe = repair;
       config.payload.erasure.repair_bytes_per_round = kRepairBudget;
-      config.fault_plan.crashes.push_back(crash_at(probe, 2, 0.25));
-      config.fault_plan.crashes.push_back(crash_at(probe, 5, 0.45));
-      config.fault_plan.crashes.push_back(crash_at(probe, 7, 0.65));
+      config.fault_plan.crashes.push_back(bench::permanent_crash(probe, 2, 0.25));
+      config.fault_plan.crashes.push_back(bench::permanent_crash(probe, 5, 0.45));
+      config.fault_plan.crashes.push_back(bench::permanent_crash(probe, 7, 0.65));
       config.request_timeout = deadline;
       three_death_configs.push_back(config);
     }

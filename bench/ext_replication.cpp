@@ -12,12 +12,10 @@
 #include "bench_common.h"
 #include "driver/analysis.h"
 
-int main() {
-  using namespace adc;
-
-  const double scale = bench::bench_scale();
-  const workload::Trace trace = bench::paper_trace(scale);
-  bench::print_run_banner("Extension: duplication factor and load balance", scale, trace);
+int adc::bench::ext_replication(bench::Context& ctx) {
+  const double scale = ctx.scale;
+  const workload::Trace& trace = ctx.trace();
+  bench::print_run_banner(ctx);
 
   std::vector<std::vector<std::string>> rows;
   rows.push_back({"scheme", "hit_rate", "total_cached", "distinct", "dup_factor",

@@ -13,13 +13,10 @@
 
 #include "bench_common.h"
 
-int main() {
-  using namespace adc;
-
-  const double scale = bench::bench_scale();
-  const workload::Trace trace = bench::paper_trace(scale);
-  bench::print_run_banner("Extension: stale hits under origin-side object updates", scale,
-                          trace);
+int adc::bench::ext_staleness(bench::Context& ctx) {
+  const double scale = ctx.scale;
+  const workload::Trace& trace = ctx.trace();
+  bench::print_run_banner(ctx);
 
   // Mean update intervals in simulated time units.  A full trace spans
   // roughly trace.size() * avg_latency time units (~6M at the default

@@ -10,14 +10,11 @@
 
 #include "bench_common.h"
 
-int main(int argc, char** argv) {
-  using namespace adc;
-
-  const double scale = bench::bench_scale();
-  const int workers = driver::resolve_workers(bench::bench_workers(argc, argv));
-  const workload::Trace trace = bench::paper_trace(scale);
-  bench::print_run_banner("Extension: seed variance of the ADC vs CARP comparison", scale,
-                          trace);
+int adc::bench::ext_variance(bench::Context& ctx) {
+  const double scale = ctx.scale;
+  const int workers = ctx.workers();
+  const workload::Trace& trace = ctx.trace();
+  bench::print_run_banner(ctx);
   std::cout << "# workers=" << workers << '\n';
 
   const std::vector<std::uint64_t> seeds = {1, 2, 3, 4, 5, 6, 7, 8};

@@ -64,13 +64,13 @@ Measured measure(int proxies, int replicas, int max_forwards, int samples) {
 
 }  // namespace
 
-int main() {
+int adc::bench::ext_walk_model(bench::Context& ctx) {
   constexpr int kProxies = 5;
   constexpr int kForwards = 8;
   constexpr int kSamples = 4000;
 
-  std::cout << "# Extension: analytical walk model vs simulator (n=" << kProxies
-            << ", F=" << kForwards << ", " << kSamples << " samples per point)\n";
+  std::cout << "# " << ctx.title << " (n=" << kProxies << ", F=" << kForwards << ", "
+            << kSamples << " samples per point)\n";
 
   std::vector<std::vector<std::string>> rows;
   rows.push_back({"replicas", "model_hit", "sim_hit", "model_hops", "sim_hops"});

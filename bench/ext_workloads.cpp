@@ -40,10 +40,9 @@ workload::Trace flash_trace(std::uint64_t requests, std::uint64_t seed) {
 
 }  // namespace
 
-int main() {
-  const double scale = bench::bench_scale();
-  std::cout << "# Extension: workload models (PolyMix-like, WPB-like, flash crowd), scale="
-            << scale << "\n";
+int adc::bench::ext_workloads(bench::Context& ctx) {
+  const double scale = ctx.scale;
+  std::cout << "# " << ctx.title << ", scale=" << scale << "\n";
 
   struct Entry {
     const char* name;

@@ -8,13 +8,11 @@
 
 #include "bench_common.h"
 
-int main(int argc, char** argv) {
-  using namespace adc;
-
-  const double scale = bench::bench_scale();
-  const std::string json_path = bench::bench_json_path(argc, argv);
-  const workload::Trace trace = bench::paper_trace(scale);
-  bench::print_run_banner("Figure 12: hops, ADC vs hashing", scale, trace);
+int adc::bench::fig12_hops(bench::Context& ctx) {
+  const double scale = ctx.scale;
+  const std::string json_path = ctx.json_path;
+  const workload::Trace& trace = ctx.trace();
+  bench::print_run_banner(ctx);
 
   driver::ExperimentConfig adc_config = bench::paper_config(scale);
   driver::ExperimentConfig carp_config = adc_config;

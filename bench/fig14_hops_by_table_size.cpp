@@ -8,13 +8,11 @@
 
 #include "bench_common.h"
 
-int main(int argc, char** argv) {
-  using namespace adc;
-
-  const double scale = bench::bench_scale();
-  const int workers = driver::resolve_workers(bench::bench_workers(argc, argv));
-  const workload::Trace trace = bench::paper_trace(scale);
-  bench::print_run_banner("Figure 14: hops by table size", scale, trace);
+int adc::bench::fig14_hops_by_table_size(bench::Context& ctx) {
+  const double scale = ctx.scale;
+  const int workers = ctx.workers();
+  const workload::Trace& trace = ctx.trace();
+  bench::print_run_banner(ctx);
   std::cout << "# workers=" << workers << '\n';
 
   const driver::ExperimentConfig base = bench::paper_config(scale);

@@ -1,4 +1,4 @@
-// Figure 15 — Processing time vs table size (google-benchmark wall time).
+// Figure 15 — Processing time vs table size (the wall_seconds column).
 //
 // Runs the same sweep as Figures 13/14 in the paper's *faithful* table
 // mode: the single-table is a linked list searched element-wise and the
@@ -8,105 +8,30 @@
 // has no significant impact.  (Our indexed mode removes the growth — see
 // bench/ablation_table_impl.)
 //
-// Each (table, size) point is one google-benchmark benchmark so the wall
-// times come with benchmark's reporting; iterations are pinned to 1
-// because a full trace replay is already a long, deterministic run.
-#include <benchmark/benchmark.h>
-
-#include <memory>
+// wall_seconds is each run's simulation-loop time.  --workers defaults to
+// 1 here, unlike fig13/14: concurrent runs contend for cores and inflate
+// each other's timings, so --workers > 1 gives a quick look at the shape,
+// not clean timings.
+#include <iostream>
 
 #include "bench_common.h"
 
-namespace {
+int adc::bench::fig15_time_by_table_size(bench::Context& ctx) {
+  const double scale = ctx.scale;
+  const int workers = ctx.workers(/*fallback=*/1);
+  const workload::Trace& trace = ctx.trace();
+  bench::print_run_banner(ctx);
+  std::cout << "# workers=" << workers << '\n';
 
-using namespace adc;
+  driver::ExperimentConfig base = bench::paper_config(scale);
+  base.adc.table_impl = cache::TableImpl::kFaithful;
+  base.sample_every = 0;  // no series needed; keep the loop lean
+  const auto points = driver::run_table_sweep(
+      base, trace,
+      {driver::SweptTable::kCaching, driver::SweptTable::kMultiple,
+       driver::SweptTable::kSingle},
+      driver::paper_sweep_sizes(scale), workers);
 
-// The trace is shared by all registered benchmarks (generated once).
-std::unique_ptr<workload::Trace> g_trace;
-double g_scale = 0.1;
-
-void run_point(benchmark::State& state, driver::SweptTable table, std::size_t size) {
-  driver::ExperimentConfig config = bench::paper_config(g_scale);
-  config.adc.table_impl = cache::TableImpl::kFaithful;
-  config.sample_every = 0;  // no series needed; keep the loop lean
-  switch (table) {
-    case driver::SweptTable::kCaching:
-      config.adc.caching_table_size = size;
-      break;
-    case driver::SweptTable::kMultiple:
-      config.adc.multiple_table_size = size;
-      break;
-    case driver::SweptTable::kSingle:
-      config.adc.single_table_size = size;
-      break;
-  }
-  for (auto _ : state) {
-    const driver::ExperimentResult result = driver::run_experiment(config, *g_trace);
-    state.counters["hit_rate"] = result.summary.hit_rate();
-    state.counters["avg_hops"] = result.summary.avg_hops();
-    state.counters["wall_seconds"] = result.wall_seconds;
-  }
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  g_scale = bench::bench_scale();
-
-  // --workers defaults to 1 here, unlike fig13/14: this bench *measures*
-  // per-point wall time, and concurrent runs contend for cores, inflating
-  // each other's timings.  With --workers > 1 the sweep runs through the
-  // parallel engine instead of google-benchmark, and the reported
-  // wall_seconds column (per-run simulation-loop time) is what Figure 15
-  // plots — useful for a quick look at the shape, not for clean timings.
-  const int workers = driver::resolve_workers(bench::bench_workers(argc, argv, /*fallback=*/1));
-  // Strip --workers so benchmark::Initialize doesn't reject it.
-  std::vector<char*> bench_args;
-  for (int i = 0; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--workers" && i + 1 < argc) {
-      ++i;
-      continue;
-    }
-    if (arg.rfind("--workers=", 0) == 0) continue;
-    bench_args.push_back(argv[i]);
-  }
-  int bench_argc = static_cast<int>(bench_args.size());
-
-  g_trace = std::make_unique<workload::Trace>(bench::paper_trace(g_scale));
-  bench::print_run_banner("Figure 15: processing time by table size (faithful structures)",
-                          g_scale, *g_trace);
-
-  const auto sizes = driver::paper_sweep_sizes(g_scale);
-  const std::vector<driver::SweptTable> tables = {
-      driver::SweptTable::kCaching, driver::SweptTable::kMultiple, driver::SweptTable::kSingle};
-
-  if (workers > 1) {
-    std::cout << "# workers=" << workers << " (parallel mode; timings are contended)\n";
-    driver::ExperimentConfig base = bench::paper_config(g_scale);
-    base.adc.table_impl = cache::TableImpl::kFaithful;
-    base.sample_every = 0;
-    const auto points = driver::run_table_sweep(base, *g_trace, tables, sizes, workers);
-    driver::print_sweep_csv(std::cout, points);
-    return 0;
-  }
-
-  for (const auto table : tables) {
-    for (const std::size_t size : sizes) {
-      const std::string name = std::string("fig15/") +
-                               std::string(driver::swept_table_name(table)) + "/" +
-                               std::to_string(size);
-      benchmark::RegisterBenchmark(name.c_str(),
-                                   [table, size](benchmark::State& state) {
-                                     run_point(state, table, size);
-                                   })
-          ->Unit(benchmark::kMillisecond)
-          ->Iterations(1);
-    }
-  }
-
-  benchmark::Initialize(&bench_argc, bench_args.data());
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+  driver::print_sweep_csv(std::cout, points);
   return 0;
 }

@@ -114,5 +114,3 @@ BENCHMARK(BM_CarpUrlHash);
 BENCHMARK(BM_CarpOwner)->Arg(5)->Arg(16)->Arg(64);
 BENCHMARK(BM_RingOwner)->Arg(5)->Arg(16)->Arg(64);
 BENCHMARK(BM_RendezvousOwner)->Arg(5)->Arg(16)->Arg(64);
-
-BENCHMARK_MAIN();

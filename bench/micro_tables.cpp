@@ -104,5 +104,3 @@ BENCHMARK(BM_OrderedTableChurn)
 BENCHMARK(BM_UpdateEntry)
     ->ArgsProduct({{1000, 4000, 16000}, {0, 1}})
     ->Unit(benchmark::kNanosecond);
-
-BENCHMARK_MAIN();

@@ -99,5 +99,3 @@ BENCHMARK(BM_WireEncode)->Arg(0)->Arg(8)->Arg(64)->Arg(1024);
 BENCHMARK(BM_WireDecode)->Arg(0)->Arg(8)->Arg(64)->Arg(1024);
 BENCHMARK(BM_WireEncodeHello);
 BENCHMARK(BM_WireRoundTrip)->Arg(0)->Arg(8);
-
-BENCHMARK_MAIN();

@@ -11,6 +11,7 @@
 //   ./proxy_sim --scheme adc --fault-at 50000 --fault-proxy 1
 //   ./proxy_sim --scheme adc --update-interval 500000   # staleness accounting
 #include <iostream>
+#include <stdexcept>
 
 #include "driver/analysis.h"
 #include "driver/experiment.h"
@@ -120,7 +121,13 @@ int main(int argc, char** argv) {
             << " multiple=" << config.adc.multiple_table_size
             << " caching=" << config.adc.caching_table_size << "\n\n";
 
-  const driver::ExperimentResult result = driver::run_experiment(config, trace);
+  driver::ExperimentResult result;
+  try {
+    result = driver::run_experiment(config, trace);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "invalid configuration: " << e.what() << '\n';
+    return 1;
+  }
 
   if (options.get_bool("series", false)) {
     driver::print_series_csv(std::cout, driver::scheme_name(*scheme), result.series);

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <chrono>
 #include <memory>
+#include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -133,6 +134,22 @@ std::optional<Scheme> parse_scheme(std::string_view name) noexcept {
 
 ExperimentResult run_experiment(const ExperimentConfig& config, const workload::Trace& trace) {
   assert(config.proxies >= 1);
+  // Input checks that must hold in release builds too: both name a proxy
+  // whose state gets flushed, and an index past the deployment would read
+  // outside it.
+  if (config.fault.at_completed > 0 &&
+      (config.fault.proxy_index < 0 || config.fault.proxy_index >= config.proxies)) {
+    throw std::invalid_argument("fault.proxy_index " + std::to_string(config.fault.proxy_index) +
+                                " is not a proxy index in [0, " +
+                                std::to_string(config.proxies) + ")");
+  }
+  for (const fault::CrashWindow& window : config.fault_plan.crashes) {
+    if (window.flush_state && (window.node < 0 || window.node >= config.proxies)) {
+      throw std::invalid_argument("crash window with flush_state names node " +
+                                  std::to_string(window.node) + ", not a proxy in [0, " +
+                                  std::to_string(config.proxies) + ")");
+    }
+  }
 
   sim::Simulator sim(config.seed, config.latency);
   sim.set_metrics(sim::MetricsCollector(config.ma_window, config.sample_every));
@@ -350,9 +367,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config, const workload::
   }
 
   if (config.fault.at_completed > 0) {
-    const int index = config.fault.proxy_index;
-    assert(index >= 0 && index < p && "fault.proxy_index out of range");
-    const NodeId victim = proxy_ids[static_cast<std::size_t>(index)];
+    const NodeId victim = proxy_ids[static_cast<std::size_t>(config.fault.proxy_index)];
     const Scheme scheme = config.scheme;
     client.at_completed(config.fault.at_completed, [&sim, victim, scheme, membership_on]() {
       flush_proxy(sim, victim, scheme, membership_on);
@@ -370,8 +385,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config, const workload::
     const Scheme scheme = config.scheme;
     for (const fault::CrashWindow& window : config.fault_plan.crashes) {
       if (!window.flush_state) continue;
-      assert(window.node >= 0 && window.node < static_cast<NodeId>(p) &&
-             "crash window must name a proxy");
       sim.schedule(window.at, [&sim, victim = window.node, scheme, membership_on]() {
         flush_proxy(sim, victim, scheme, membership_on);
       });

@@ -297,7 +297,9 @@ class TraceStream final : public proxy::RequestStream {
 };
 
 /// Runs the full trace through a freshly built deployment and returns the
-/// collected metrics.  Deterministic in (config, trace).
+/// collected metrics.  Deterministic in (config, trace).  Throws
+/// std::invalid_argument when `fault.proxy_index` (with `fault.at_completed`
+/// set) or a `flush_state` crash window's node is not a proxy index.
 ExperimentResult run_experiment(const ExperimentConfig& config, const workload::Trace& trace);
 
 }  // namespace adc::driver

@@ -1,5 +1,7 @@
 #include "net/wire.h"
 
+#include <algorithm>
+
 namespace adc::net {
 namespace {
 
@@ -154,7 +156,11 @@ void encode_message(const WireMessage& wire, std::vector<std::uint8_t>* out) {
       wire.body.size() > kMaxBodyBytes ? kMaxBodyBytes : wire.body.size();
   const std::uint32_t payload_len =
       static_cast<std::uint32_t>(kMessageFixedBytes + body_len + 4 * keep);
-  out->reserve(out->size() + kLengthPrefixBytes + payload_len);
+  // Reserve only when the frame does not fit, and then at least double, so
+  // appending many frames to one buffer stays amortised linear while a
+  // fresh buffer still gets exactly one allocation of the frame's size.
+  const std::size_t needed = out->size() + kLengthPrefixBytes + payload_len;
+  if (needed > out->capacity()) out->reserve(std::max(needed, 2 * out->capacity()));
   put_u32(out, payload_len);
   put_u8(out, static_cast<std::uint8_t>(frame_type_for(wire.msg.kind)));
   put_u8(out, kWireVersion);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <stdexcept>
 
 #include "workload/polygraph.h"
 
@@ -251,6 +252,41 @@ TEST(Experiment, AdcTotalsAggregatePerProxyStats) {
   EXPECT_GT(result.adc_totals.requests_received, 0u);
   EXPECT_EQ(result.adc_totals.local_hits, result.summary.hits);
   EXPECT_GT(result.adc_totals.replies_relayed, 0u);
+}
+
+TEST(ExperimentValidation, RejectsFaultProxyIndexPastTheDeployment) {
+  const auto trace = small_trace();
+  ExperimentConfig config = small_config(Scheme::kAdc);
+  config.proxies = 5;
+  config.fault.at_completed = 100;
+  config.fault.proxy_index = 5;
+  EXPECT_THROW(run_experiment(config, trace), std::invalid_argument);
+  config.fault.proxy_index = -1;
+  EXPECT_THROW(run_experiment(config, trace), std::invalid_argument);
+  config.fault.proxy_index = 4;
+  EXPECT_EQ(run_experiment(config, trace).summary.completed, trace.size());
+}
+
+TEST(ExperimentValidation, IgnoresFaultProxyIndexWhenNoFaultIsScheduled) {
+  const auto trace = small_trace();
+  ExperimentConfig config = small_config(Scheme::kCarp);
+  config.fault.proxy_index = 9;  // at_completed == 0: no restart, nothing to check
+  EXPECT_EQ(run_experiment(config, trace).summary.completed, trace.size());
+}
+
+TEST(ExperimentValidation, RejectsFlushingCrashWindowOutsideTheProxies) {
+  const auto trace = small_trace();
+  ExperimentConfig config = small_config(Scheme::kCarp);
+  config.proxies = 5;
+  fault::CrashWindow window;
+  window.at = 1000;
+  window.restart = 2000;
+  window.flush_state = true;
+  window.node = 5;
+  config.fault_plan.crashes = {window};
+  EXPECT_THROW(run_experiment(config, trace), std::invalid_argument);
+  config.fault_plan.crashes[0].node = -1;
+  EXPECT_THROW(run_experiment(config, trace), std::invalid_argument);
 }
 
 }  // namespace

@@ -541,5 +541,45 @@ TEST(Wire, FuzzCorruptionNeverDecodesMutatedByte) {
   }
 }
 
+TEST(Wire, AppendingFramesToOneBufferGrowsGeometrically) {
+  // Encoding many frames into one buffer must not reallocate per frame
+  // (that would copy the whole buffer every time: quadratic), and every
+  // frame must still decode back in order.
+  util::Rng rng(17);
+  std::vector<WireMessage> originals(1000);
+  std::vector<std::uint8_t> bytes;
+  int reallocations = 0;
+  for (WireMessage& original : originals) {
+    original.msg = random_message(rng);
+    original.path = random_path(rng, rng.index(12));
+    const std::uint8_t* before = bytes.data();
+    encode_message(original, &bytes);
+    if (bytes.data() != before) ++reallocations;
+  }
+  EXPECT_LE(reallocations, 32);
+
+  std::size_t offset = 0;
+  for (const WireMessage& original : originals) {
+    Frame decoded;
+    std::size_t consumed = 0;
+    ASSERT_EQ(decode_frame(bytes.data() + offset, bytes.size() - offset, &consumed, &decoded),
+              DecodeResult::kFrame);
+    expect_equal(decoded.message, original);
+    offset += consumed;
+  }
+  EXPECT_EQ(offset, bytes.size());
+}
+
+TEST(Wire, FreshBufferGetsOneFrameSizedAllocation) {
+  util::Rng rng(19);
+  WireMessage original;
+  original.msg = random_message(rng);
+  original.path = random_path(rng, 5);
+  original.body = random_body(rng, 40);
+  std::vector<std::uint8_t> bytes;
+  encode_message(original, &bytes);
+  EXPECT_EQ(bytes.capacity(), bytes.size());
+}
+
 }  // namespace
 }  // namespace adc::net
