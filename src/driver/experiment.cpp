@@ -1,7 +1,6 @@
 #include "driver/experiment.h"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
 #include <memory>
 #include <stdexcept>
@@ -133,10 +132,25 @@ std::optional<Scheme> parse_scheme(std::string_view name) noexcept {
 }
 
 ExperimentResult run_experiment(const ExperimentConfig& config, const workload::Trace& trace) {
-  assert(config.proxies >= 1);
-  // Input checks that must hold in release builds too: both name a proxy
-  // whose state gets flushed, and an index past the deployment would read
-  // outside it.
+  // Input checks that must hold in release builds too: each names a proxy
+  // (or one entry per proxy), and an index past the deployment would read
+  // outside it or silently configure nothing.
+  if (config.proxies < 1) {
+    throw std::invalid_argument("proxies " + std::to_string(config.proxies) +
+                                " must be at least 1");
+  }
+  if (config.scheme == Scheme::kCarp && !config.carp_load_factors.empty() &&
+      config.carp_load_factors.size() != static_cast<std::size_t>(config.proxies)) {
+    throw std::invalid_argument("carp_load_factors has " +
+                                std::to_string(config.carp_load_factors.size()) +
+                                " entries for " + std::to_string(config.proxies) + " proxies");
+  }
+  if (config.slow_proxy_delay > 0 &&
+      (config.slow_proxy_index < 0 || config.slow_proxy_index >= config.proxies)) {
+    throw std::invalid_argument("slow_proxy_index " + std::to_string(config.slow_proxy_index) +
+                                " is not a proxy index in [0, " +
+                                std::to_string(config.proxies) + ")");
+  }
   if (config.fault.at_completed > 0 &&
       (config.fault.proxy_index < 0 || config.fault.proxy_index >= config.proxies)) {
     throw std::invalid_argument("fault.proxy_index " + std::to_string(config.fault.proxy_index) +
@@ -256,8 +270,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config, const workload::
       break;
     }
     case Scheme::kCarp: {
-      assert(config.carp_load_factors.empty() ||
-             config.carp_load_factors.size() == static_cast<std::size_t>(p));
       std::vector<hash::CarpArray::Member> members;
       for (int i = 0; i < p; ++i) {
         const double load_factor =
@@ -360,8 +372,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config, const workload::
   client.set_version_oracle(oracle);
   sim.add_node(std::move(client_ptr));
 
-  if (config.slow_proxy_delay > 0 && config.slow_proxy_index >= 0 &&
-      config.slow_proxy_index < p) {
+  if (config.slow_proxy_delay > 0) {
     sim.network().set_node_delay(proxy_ids[static_cast<std::size_t>(config.slow_proxy_index)],
                                  config.slow_proxy_delay);
   }

@@ -22,8 +22,15 @@ bool TransferScheduler::on_send(const sim::Message& msg, sim::NodeKind /*from*/,
   ++stats_.transfers;
   stats_.bytes += bytes;
 
-  Egress& e = egress_[msg.sender];
-  auto& q = e.queues[msg.target];
+  const auto from = static_cast<std::size_t>(msg.sender);
+  const auto to = static_cast<std::size_t>(msg.target);
+  if (from >= egress_.size()) egress_.resize(from + 1);
+  Egress& e = egress_[from];
+  if (to >= e.queues.size()) {
+    e.queues.resize(to + 1);
+    e.deficit.resize(to + 1, 0);
+  }
+  auto& q = e.queues[to];
   if (q.empty()) e.ring.push_back(msg.target);
 
   Transfer t;
@@ -42,21 +49,14 @@ bool TransferScheduler::on_send(const sim::Message& msg, sim::NodeKind /*from*/,
 }
 
 void TransferScheduler::kick(NodeId node) {
-  Egress& e = egress_[node];
-  if (e.busy) return;
+  Egress& e = egress_[static_cast<std::size_t>(node)];
+  if (e.busy || e.ring.empty()) return;
 
-  // Drop drained destinations off the ring front.
-  while (!e.ring.empty()) {
-    const NodeId dest = e.ring.front();
-    const auto qit = e.queues.find(dest);
-    if (qit != e.queues.end() && !qit->second.empty()) break;
-    e.ring.pop_front();
-    e.deficit.erase(dest);
-    if (qit != e.queues.end()) e.queues.erase(qit);
-  }
-  if (e.ring.empty()) return;
-
-  const NodeId dest = e.ring.front();
+  // The ring holds exactly the destinations with queued transfers: a
+  // destination joins when its queue turns non-empty and leaves when the
+  // last transfer is delivered.
+  const auto dest = static_cast<std::size_t>(e.ring.front());
+  assert(!e.queues[dest].empty());
   Transfer& t = e.queues[dest].front();
 
   // One quantum of credit per ring visit; the burst spends accumulated
@@ -78,21 +78,24 @@ void TransferScheduler::kick(NodeId node) {
 
   ++stats_.bursts;
   e.busy = true;
+  e.burst = burst;
   const SimTime tx = model_.serialization_ticks(burst, t.rate);
-  sim_.schedule_after(tx, [this, node, dest, burst]() { on_burst_done(node, dest, burst); });
+  sim_.schedule_after(tx, [this, node]() { on_burst_done(node); });
 }
 
-void TransferScheduler::on_burst_done(NodeId node, NodeId dest, std::uint64_t burst) {
-  Egress& e = egress_[node];
+void TransferScheduler::on_burst_done(NodeId node) {
+  Egress& e = egress_[static_cast<std::size_t>(node)];
   e.busy = false;
 
   // The serving destination sits at the ring front for the whole burst:
   // kick() never rotates while the egress is busy, and arrivals only
   // append to the back.
-  assert(!e.ring.empty() && e.ring.front() == dest);
-  auto& q = e.queues[dest];
+  assert(!e.ring.empty());
+  const NodeId dest = e.ring.front();
+  auto& q = e.queues[static_cast<std::size_t>(dest)];
   assert(!q.empty());
   Transfer& t = q.front();
+  const std::uint64_t burst = e.burst;
   assert(burst <= t.remaining && burst <= e.backlog);
 
   t.remaining -= burst;
@@ -107,8 +110,7 @@ void TransferScheduler::on_burst_done(NodeId node, NodeId dest, std::uint64_t bu
     t.deliver(sim_.now() + t.base_delay);
     q.pop_front();
     if (q.empty()) {
-      e.queues.erase(dest);
-      e.deficit.erase(dest);
+      e.deficit[static_cast<std::size_t>(dest)] = 0;
     } else {
       e.ring.push_back(dest);
     }
@@ -120,15 +122,15 @@ void TransferScheduler::on_burst_done(NodeId node, NodeId dest, std::uint64_t bu
 }
 
 std::uint64_t TransferScheduler::backlog_bytes(NodeId node) const noexcept {
-  const auto it = egress_.find(node);
-  return it == egress_.end() ? 0 : it->second.backlog;
+  const auto i = static_cast<std::size_t>(node);
+  return i < egress_.size() ? egress_[i].backlog : 0;
 }
 
 std::size_t TransferScheduler::queue_depth(NodeId node) const noexcept {
-  const auto it = egress_.find(node);
-  if (it == egress_.end()) return 0;
+  const auto i = static_cast<std::size_t>(node);
+  if (i >= egress_.size()) return 0;
   std::size_t depth = 0;
-  for (const auto& [dest, q] : it->second.queues) depth += q.size();
+  for (const auto& q : egress_[i].queues) depth += q.size();
   return depth;
 }
 

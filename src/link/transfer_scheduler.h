@@ -24,14 +24,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <list>
-#include <unordered_map>
+#include <vector>
 
 #include "link/link_model.h"
 #include "sim/link_hook.h"
 #include "sim/metrics.h"
 #include "sim/simulator.h"
+#include "util/ring_queue.h"
 #include "util/types.h"
 
 namespace adc::link {
@@ -80,21 +79,25 @@ class TransferScheduler final : public sim::LinkHook {
     bool started = false;
   };
 
+  // Per-egress state lives in vectors indexed by NodeId and is never torn
+  // down: a drained destination keeps its (empty) queue with its deficit
+  // reset to 0, so steady-state traffic allocates nothing.
   struct Egress {
     bool busy = false;           // a burst is serializing right now
     std::uint64_t backlog = 0;   // bytes accepted but not yet transmitted
-    std::list<NodeId> ring;      // DRR ring of destinations with backlog
-    std::unordered_map<NodeId, std::deque<Transfer>> queues;
-    std::unordered_map<NodeId, std::uint64_t> deficit;
+    std::uint64_t burst = 0;     // bytes of the burst in service
+    util::RingQueue<NodeId> ring;  // DRR ring of destinations with backlog
+    std::vector<util::RingQueue<Transfer>> queues;  // by destination
+    std::vector<std::uint64_t> deficit;             // by destination
   };
 
   /// Starts the next burst at `node`'s egress if it is idle and backlogged.
   void kick(NodeId node);
-  void on_burst_done(NodeId node, NodeId dest, std::uint64_t burst);
+  void on_burst_done(NodeId node);
 
   sim::Simulator& sim_;
   LinkModel model_;
-  std::unordered_map<NodeId, Egress> egress_;
+  std::vector<Egress> egress_;  // by sender
   TransferStats stats_;
   sim::PercentileTracker wait_;
 };

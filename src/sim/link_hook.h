@@ -32,7 +32,10 @@ class LinkHook {
 
   /// Schedules the transfer's delivery at absolute sim-time `at`.  Provided
   /// by the simulator; copyable and storable, must be invoked exactly once
-  /// per owned transfer, with `at` no earlier than the send time.
+  /// per owned transfer, with `at` no earlier than the send time.  The
+  /// simulator's Deliver is a handle on the message it parked (simulator
+  /// and slot), small enough for std::function's local buffer, so storing,
+  /// moving and invoking it never allocates.
   using Deliver = std::function<void(SimTime at)>;
 
   /// Called once per transfer (self-addressed messages excepted — there is

@@ -1,6 +1,7 @@
 #include "sim/simulator.h"
 
 #include <cassert>
+#include <type_traits>
 #include <utility>
 
 #include "util/logging.h"
@@ -34,37 +35,32 @@ void Simulator::send(Message msg) {
   const SimTime delay = network_.latency(node(msg.sender).kind(), node(msg.target).kind(),
                                          self_message) +
                         network_.node_delay(msg.target) + fate.extra_delay;
-  const NodeId target = msg.target;
   ADC_LOG_TRACE << "send t=" << now_ << " " << node(msg.sender).name() << " -> "
-                << node(target).name() << " req=" << msg.request_id
+                << node(msg.target).name() << " req=" << msg.request_id
                 << " kind=" << (msg.kind == MessageKind::kRequest ? "REQ" : "RPL")
                 << " hops=" << msg.hops;
-  // Duplicates land one tick apart so delivery order stays well-defined.
-  // A fault-injected copy is a retransmission artifact, not a second
-  // payload transfer, so copies bypass the link model and ride on the
-  // plain latency.
+  // Every delivery is the same typed event: the message stored by value in
+  // the queue's slab.  Duplicates land one tick apart so delivery order
+  // stays well-defined.  A fault-injected copy is a retransmission
+  // artifact, not a second payload transfer, so copies bypass the link
+  // model and ride on the plain latency.
   for (int copy = 1; copy <= fate.duplicates; ++copy) {
-    queue_.schedule(now_ + delay + copy, [this, msg, target]() {
-      ++messages_delivered_;
-      nodes_[static_cast<std::size_t>(target)]->on_message(*this, msg);
-    });
+    queue_.schedule_delivery(now_ + delay + copy, msg);
   }
+  const EventQueue::Slot slot = queue_.park(msg);
   if (link_ != nullptr && !self_message) {
-    LinkHook::Deliver deliver = [this, msg, target](SimTime at) {
-      queue_.schedule(at, [this, msg, target]() {
-        ++messages_delivered_;
-        nodes_[static_cast<std::size_t>(target)]->on_message(*this, msg);
-      });
-    };
-    if (link_->on_send(msg, node(msg.sender).kind(), node(target).kind(), now_, delay,
-                       std::move(deliver))) {
+    // The hook gets a handle on the parked slot, not a copy of the message:
+    // the capture fits std::function's local buffer, so handing it over
+    // allocates nothing.
+    const auto deliver = [this, slot](SimTime at) { queue_.schedule_delivery(at, slot); };
+    static_assert(sizeof(deliver) <= 2 * sizeof(void*) &&
+                  std::is_trivially_copyable_v<decltype(deliver)>);
+    if (link_->on_send(msg, node(msg.sender).kind(), node(msg.target).kind(), now_, delay,
+                       deliver)) {
       return;
     }
   }
-  queue_.schedule(now_ + delay, [this, msg = std::move(msg), target]() {
-    ++messages_delivered_;
-    nodes_[static_cast<std::size_t>(target)]->on_message(*this, msg);
-  });
+  queue_.schedule_delivery(now_ + delay, slot);
 }
 
 void Simulator::schedule(SimTime at, std::function<void()> action) {
@@ -81,9 +77,15 @@ std::uint64_t Simulator::run(std::uint64_t max_events) {
   while (!queue_.empty() && executed < max_events) {
     // Advance the clock before executing so actions observe the correct
     // current time when they send follow-up messages.
-    auto popped = queue_.pop_next();
+    EventQueue::Popped popped = queue_.pop_next();
     now_ = popped.time;
-    popped.action();
+    if (popped.delivery) {
+      ++messages_delivered_;
+      nodes_[static_cast<std::size_t>(popped.delivery->target)]->on_message(*this,
+                                                                            *popped.delivery);
+    } else {
+      popped.action();
+    }
     ++executed;
   }
   return executed;

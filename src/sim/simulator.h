@@ -41,7 +41,9 @@ class Simulator final : public Transport {
   /// Transfers a message.  `msg.sender` must name the sending node and
   /// `msg.target` the destination; the hop counter is incremented here so
   /// every transfer — including a proxy forwarding to itself — counts
-  /// exactly once.
+  /// exactly once.  Plain, fault-duplicated and link-owned deliveries are
+  /// all the same typed queue event holding the message by value, so a
+  /// send allocates nothing once the queue has reached its peak depth.
   void send(Message msg) override;
 
   /// Schedules an arbitrary action (request injection, membership change).

@@ -289,5 +289,52 @@ TEST(ExperimentValidation, RejectsFlushingCrashWindowOutsideTheProxies) {
   EXPECT_THROW(run_experiment(config, trace), std::invalid_argument);
 }
 
+TEST(ExperimentValidation, RejectsDeploymentWithoutProxies) {
+  const auto trace = small_trace();
+  ExperimentConfig config = small_config(Scheme::kAdc);
+  config.proxies = 0;
+  EXPECT_THROW(run_experiment(config, trace), std::invalid_argument);
+  config.proxies = -2;
+  EXPECT_THROW(run_experiment(config, trace), std::invalid_argument);
+}
+
+TEST(ExperimentValidation, RejectsCarpLoadFactorsNotOnePerProxy) {
+  const auto trace = small_trace();
+  ExperimentConfig config = small_config(Scheme::kCarp);
+  config.proxies = 5;
+  config.carp_load_factors = {1.0, 1.0, 0.25};  // fewer than proxies
+  EXPECT_THROW(run_experiment(config, trace), std::invalid_argument);
+  config.carp_load_factors = {1.0, 1.0, 0.25, 1.0, 1.0, 1.0};  // more than proxies
+  EXPECT_THROW(run_experiment(config, trace), std::invalid_argument);
+  config.carp_load_factors = {1.0, 1.0, 0.25, 1.0, 1.0};
+  EXPECT_EQ(run_experiment(config, trace).summary.completed, trace.size());
+}
+
+TEST(ExperimentValidation, RejectsSlowProxyIndexPastTheDeployment) {
+  const auto trace = small_trace();
+  ExperimentConfig config = small_config(Scheme::kCoordinator);
+  config.proxies = 5;
+  config.slow_proxy_delay = 4;
+  config.slow_proxy_index = 5;
+  EXPECT_THROW(run_experiment(config, trace), std::invalid_argument);
+  config.slow_proxy_index = -1;
+  EXPECT_THROW(run_experiment(config, trace), std::invalid_argument);
+  config.slow_proxy_index = 4;
+  EXPECT_EQ(run_experiment(config, trace).summary.completed, trace.size());
+}
+
+TEST(ExperimentValidation, IgnoresSlowProxyIndexWhenThereIsNoDelay) {
+  const auto trace = small_trace();
+  ExperimentConfig config = small_config(Scheme::kCoordinator);
+  config.proxies = 5;
+  config.slow_proxy_index = 7;  // slow_proxy_delay == 0: no slow proxy, nothing to check
+  const ExperimentResult ignored = run_experiment(config, trace);
+  config.slow_proxy_index = -1;
+  const ExperimentResult homogeneous = run_experiment(config, trace);
+  EXPECT_EQ(ignored.summary.completed, trace.size());
+  EXPECT_EQ(ignored.events, homogeneous.events);
+  EXPECT_EQ(ignored.sim_end_time, homogeneous.sim_end_time);
+}
+
 }  // namespace
 }  // namespace adc::driver

@@ -114,5 +114,44 @@ TEST(GoldenMetrics, CarpOwnerCountersAndTailsArePinned) {
   EXPECT_DOUBLE_EQ(result.latency_p999, 24.0);
 }
 
+// CARP over eight proxies with the payload store, k=3 erasure striping,
+// capped proxy and origin egress and SWIM on: every send goes through the
+// link layer's transfer scheduler, so this pins the simulator's delivery
+// path (event order, pacing bursts, queue waits) end to end.
+TEST(GoldenMetrics, LinkedCarpDeliveryIsPinned) {
+  const auto trace = golden_trace();
+  ExperimentConfig config = golden_config();
+  config.scheme = Scheme::kCarp;
+  config.proxies = 8;
+  config.payload.enabled = true;
+  config.payload.erasure.enabled = true;
+  config.payload.erasure.data_chunks = 3;
+  config.link.enabled = true;
+  config.link.node_egress_bytes_per_sec = 64u << 20;
+  config.link.origin_egress_bytes_per_sec = 4u << 20;
+  config.membership.swim.enabled = true;
+  const ExperimentResult result = run_experiment(config, trace);
+  if (print_golden()) {
+    std::cout.precision(17);
+    std::cout << "GOLDEN linked_carp events=" << result.events
+              << " sim_end_time=" << result.sim_end_time << " hits=" << result.summary.hits
+              << " bytes_hit=" << result.summary.bytes_hit
+              << " bursts=" << result.link.bursts << " queued=" << result.link.queued
+              << " max_wait=" << result.link.max_wait << " wait_p99=" << result.link.wait_p99
+              << " stripe_objects_tracked=" << result.store.stripe_objects_tracked << '\n';
+  }
+
+  EXPECT_EQ(result.summary.completed, trace.size());
+  EXPECT_EQ(result.events, 101828u);
+  EXPECT_EQ(result.sim_end_time, 129857);
+  EXPECT_EQ(result.summary.hits, 4725u);
+  EXPECT_EQ(result.summary.bytes_hit, 58761370u);
+  EXPECT_EQ(result.link.bursts, 49791u);
+  EXPECT_EQ(result.link.queued, 13923u);
+  EXPECT_EQ(result.link.max_wait, 8);
+  EXPECT_DOUBLE_EQ(result.link.wait_p99, 5.0);
+  EXPECT_EQ(result.store.stripe_objects_tracked, 2720u);
+}
+
 }  // namespace
 }  // namespace adc::driver
