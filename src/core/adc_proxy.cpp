@@ -14,7 +14,7 @@ using sim::Transport;
 
 AdcProxy::AdcProxy(NodeId id, std::string name, const AdcConfig& config,
                    std::vector<NodeId> proxies, NodeId origin)
-    : Node(id, sim::NodeKind::kProxy, std::move(name)),
+    : MemberNode(id, sim::NodeKind::kProxy, std::move(name)),
       config_(config),
       tables_(config),
       proxies_(std::move(proxies)),
@@ -62,12 +62,12 @@ std::size_t AdcProxy::invalidate_peer(NodeId peer) {
   return removed;
 }
 
-std::size_t AdcProxy::handle_peer_dead(NodeId peer) {
-  if (peer == id()) return 0;
+void AdcProxy::handle_peer_dead(NodeId peer) {
+  if (peer == id()) return;
   if (erasure_ != nullptr) erasure_->handle_peer_dead(peer);
   proxies_.erase(std::remove(proxies_.begin(), proxies_.end(), peer), proxies_.end());
   if (proxies_.empty()) proxies_.push_back(id());
-  return invalidate_peer(peer);
+  invalidate_peer(peer);
 }
 
 void AdcProxy::handle_peer_joined(NodeId peer) {
@@ -79,6 +79,12 @@ void AdcProxy::handle_peer_joined(NodeId peer) {
 
 void AdcProxy::seed_location(ObjectId object, NodeId location, std::uint64_t claim) {
   tables_.update_entry(object, location, local_time_, std::nullopt, claim);
+}
+
+void AdcProxy::repair_round(sim::Transport& net, const std::vector<NodeId>& alive_peers,
+                            std::size_t batch) {
+  for (const NodeId peer : alive_peers) send_anti_entropy(net, peer, batch);
+  MemberNode::repair_round(net, alive_peers, batch);
 }
 
 void AdcProxy::send_anti_entropy(sim::Transport& net, NodeId peer, std::size_t batch) {

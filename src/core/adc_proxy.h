@@ -10,6 +10,7 @@
 #include "core/adc_config.h"
 #include "core/mapping_tables.h"
 #include "cache/policies.h"
+#include "membership/member_node.h"
 #include "sim/node.h"
 #include "sim/transport.h"
 #include "store/erasure_tier.h"
@@ -47,7 +48,7 @@ struct AdcProxyStats {
   std::uint64_t degraded_reads_served = 0;
 };
 
-class AdcProxy final : public sim::Node {
+class AdcProxy final : public membership::MemberNode {
  public:
   /// `proxies` is the full membership (including this proxy's own id) used
   /// for random forwarding; `origin` terminates unresolved searches.
@@ -72,7 +73,7 @@ class AdcProxy final : public sim::Node {
   /// as if the proxy cold-restarted.  In-flight backwarding records are
   /// preserved — connectivity survives, data does not — so outstanding
   /// journeys still complete.
-  void flush();
+  void flush() override;
 
   /// Cache warming: makes this proxy a holder of the object without any
   /// message traffic (so peers learn nothing).
@@ -85,10 +86,15 @@ class AdcProxy final : public sim::Node {
 
   /// Confirmed membership change (failure detector callbacks).  Death
   /// removes the peer from the random-forwarding membership *and*
-  /// invalidates entries naming it; a join reinstates it (sorted order is
-  /// preserved so forwarding stays deterministic for a given rng stream).
-  std::size_t handle_peer_dead(NodeId peer);
-  void handle_peer_joined(NodeId peer);
+  /// invalidates entries naming it (counted in stats().peer_invalidations);
+  /// a join reinstates it (sorted order is preserved so forwarding stays
+  /// deterministic for a given rng stream).
+  void handle_peer_dead(NodeId peer) override;
+  void handle_peer_joined(NodeId peer) override;
+
+  /// Anti-entropy toward every alive peer, then the tier's re-stripe round.
+  void repair_round(sim::Transport& net, const std::vector<NodeId>& alive_peers,
+                    std::size_t batch) override;
 
   /// Test/operator prefill of a mapping entry (the table analogue of
   /// warm_cache): makes this proxy believe `object` resolves at
@@ -109,18 +115,6 @@ class AdcProxy final : public sim::Node {
   /// origin-bound searches can resolve as degraded reads after a confirmed
   /// peer death.  Must run before traffic starts.
   void enable_store(const store::StoreContext& ctx);
-
-  const store::ErasureTier* erasure() const noexcept { return erasure_.get(); }
-
-  /// Mutable tier access for the hosts that drive background repair
-  /// rounds (membership hooks, the live daemon).  Null while no tier.
-  store::ErasureTier* erasure_tier() noexcept { return erasure_.get(); }
-
-  /// Wires a link-load oracle into the hosted erasure tier (no-op while no
-  /// tier exists).  Must run after enable_store.
-  void set_erasure_load_probe(store::ErasureTier::LoadProbe probe) {
-    if (erasure_ != nullptr) erasure_->set_load_probe(std::move(probe));
-  }
 
  private:
   void receive_request(sim::Transport& net, const sim::Message& msg);
@@ -151,9 +145,8 @@ class AdcProxy final : public sim::Node {
   std::unique_ptr<cache::CacheSet> lru_cache_;
   std::unordered_map<ObjectId, std::uint64_t> lru_versions_;
 
-  /// Payload store (null while disabled) and the erasure tier it powers.
+  /// Payload store (null while disabled); it powers the erasure tier.
   store::PayloadStorePtr store_;
-  std::unique_ptr<store::ErasureTier> erasure_;
 
   std::uint64_t size_of(ObjectId object) const {
     return store_ == nullptr ? 0 : store_->size_of(object);

@@ -6,9 +6,9 @@
 #include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "fault/faulty_network.h"
-#include "hash/carp.h"
 #include "link/transfer_scheduler.h"
 #include "hash/consistent_hash.h"
 #include "hash/rendezvous.h"
@@ -23,8 +23,6 @@
 
 namespace adc::driver {
 namespace {
-
-std::string proxy_name(int index) { return "proxy[" + std::to_string(index) + "]"; }
 
 std::size_t baseline_capacity(const ExperimentConfig& config) {
   return config.baseline_cache_capacity != 0 ? config.baseline_cache_capacity
@@ -42,27 +40,9 @@ bool membership_supported(Scheme scheme) noexcept {
 // Cold-restarts a proxy node: its cache and learned tables are wiped,
 // connectivity survives.  Shared by the milestone-triggered FaultSpec and
 // the time-triggered crash windows of a FaultPlan.
-void flush_proxy(sim::Simulator& sim, NodeId victim, Scheme scheme, bool wrapped) {
-  sim::Node& registered = sim.node(victim);
-  sim::Node& node =
-      wrapped ? static_cast<membership::MemberAgent&>(registered).inner() : registered;
-  switch (scheme) {
-    case Scheme::kAdc:
-      static_cast<core::AdcProxy&>(node).flush();
-      break;
-    case Scheme::kCarp:
-    case Scheme::kConsistent:
-    case Scheme::kRendezvous:
-      static_cast<proxy::HashingProxy&>(node).flush();
-      break;
-    case Scheme::kHierarchical:
-    case Scheme::kCoordinator:
-      static_cast<proxy::CacheNode&>(node).flush();
-      break;
-    case Scheme::kSoap:
-      static_cast<proxy::SoapProxy&>(node).flush();
-      break;
-  }
+void flush_proxy(sim::Simulator& sim, NodeId victim) {
+  sim::Node& node = sim.node(victim);
+  node.flush();
   ADC_LOG_INFO << "fault injected: flushed " << node.name() << " at t=" << sim.now();
 }
 
@@ -164,6 +144,30 @@ ExperimentResult run_experiment(const ExperimentConfig& config, const workload::
                                   std::to_string(config.proxies) + ")");
     }
   }
+  // Scheme x feature combinations the deployment cannot honour are
+  // rejected, not silently dropped from the run.
+  const std::string scheme(scheme_name(config.scheme));
+  if (config.membership.swim.enabled && !membership_supported(config.scheme)) {
+    throw std::invalid_argument("membership.swim.enabled is not supported for scheme " + scheme +
+                                " (its topology is fixed by construction)");
+  }
+  if (config.payload.enabled && config.scheme == Scheme::kSoap) {
+    throw std::invalid_argument("payload.enabled is not supported for scheme soap");
+  }
+  const bool erasure_on = config.payload.enabled && config.payload.erasure.enabled;
+  if (erasure_on &&
+      (config.scheme == Scheme::kHierarchical || config.scheme == Scheme::kCoordinator)) {
+    throw std::invalid_argument("payload.erasure.enabled: scheme " + scheme +
+                                " hosts no erasure tier");
+  }
+  if (config.payload.erasure.restripe && !erasure_on) {
+    throw std::invalid_argument(
+        "payload.erasure.restripe needs payload.enabled and payload.erasure.enabled");
+  }
+  if (config.payload.erasure.restripe && !config.membership.swim.enabled) {
+    throw std::invalid_argument(
+        "payload.erasure.restripe needs membership.swim.enabled (deaths come from SWIM)");
+  }
 
   sim::Simulator sim(config.seed, config.latency);
   sim.set_metrics(sim::MetricsCollector(config.ma_window, config.sample_every));
@@ -194,101 +198,55 @@ ExperimentResult run_experiment(const ExperimentConfig& config, const workload::
   }
   const store::StoreContext store_ctx{payload_store, proxy_ids};
 
-  const bool membership_on =
-      config.membership.swim.enabled && membership_supported(config.scheme);
+  const bool membership_on = config.membership.swim.enabled;
+  // The flat-membership proxies (ADC and the hashing baselines) by proxy
+  // index, and — with membership on — the MemberAgent wrapping each.  Both
+  // stay empty for the schemes with a fixed topology.
+  std::vector<membership::MemberNode*> members;
   std::vector<membership::MemberAgent*> agents;
-  // Erasure tiers hosted by membership-wrapped proxies: the tick loop
-  // keeps running while any of them still has re-stripe repair queued.
-  std::vector<const store::ErasureTier*> repair_tiers;
-  // ADC entries purged by confirmed deaths (the silent-peer cleanup);
-  // folded into faults.entries_invalidated alongside the reactive path.
-  auto purged_entries = std::make_shared<std::uint64_t>(0);
-
-  // Wraps a hashing proxy in a MemberAgent wired for owner-map rebuilds,
-  // or registers it bare when membership is off.  `factory` recomputes the
-  // scheme's owner map from a surviving membership.
-  const auto add_hashing_proxy = [&](int i, std::shared_ptr<const proxy::OwnerMap> owners,
-                                     const proxy::HashingProxy::OwnerMapFactory& factory) {
-    auto inner = std::make_unique<proxy::HashingProxy>(
-        proxy_ids[static_cast<std::size_t>(i)], proxy_name(i), std::move(owners), origin_id,
-        baseline_capacity(config), config.baseline_policy, config.entry_caching);
-    if (payload_store != nullptr) inner->enable_store(store_ctx);
+  const auto add_member = [&](std::unique_ptr<membership::MemberNode> proxy) {
+    members.push_back(proxy.get());
     if (!membership_on) {
-      sim.add_node(std::move(inner));
+      sim.add_node(std::move(proxy));
       return;
     }
-    proxy::HashingProxy* hp = inner.get();
-    hp->set_owner_map_factory(factory, proxy_ids);
-    auto agent = std::make_unique<membership::MemberAgent>(std::move(inner), proxy_ids,
+    auto agent = std::make_unique<membership::MemberAgent>(std::move(proxy), proxy_ids,
                                                            config.membership);
-    membership::MemberAgent::Hooks hooks;
-    hooks.peer_dead = [hp](NodeId peer) { hp->handle_peer_dead(peer); };
-    hooks.peer_joined = [hp](NodeId peer) { hp->handle_peer_joined(peer); };
-    if (store::ErasureTier* tier = hp->erasure_tier();
-        tier != nullptr && tier->restripe_enabled()) {
-      hooks.send_restripe = [tier](sim::Transport& net) { tier->restripe_round(net); };
-      hooks.restripe_pending = [tier] { return tier->restripe_pending(); };
-      repair_tiers.push_back(tier);
-    }
-    agent->set_hooks(std::move(hooks));
     agents.push_back(agent.get());
     sim.add_node(std::move(agent));
+  };
+
+  // A hashing proxy over the scheme's owner map; with membership on,
+  // `factory` recomputes that map from a surviving membership.
+  const auto add_hashing_proxy = [&](int i, std::shared_ptr<const proxy::OwnerMap> owners,
+                                     const proxy::HashingProxy::OwnerMapFactory& factory) {
+    auto hp = std::make_unique<proxy::HashingProxy>(
+        proxy_ids[static_cast<std::size_t>(i)], proxy::proxy_name(i), std::move(owners),
+        origin_id, baseline_capacity(config), config.baseline_policy, config.entry_caching);
+    if (payload_store != nullptr) hp->enable_store(store_ctx);
+    if (membership_on) hp->set_owner_map_factory(factory, proxy_ids);
+    add_member(std::move(hp));
   };
 
   switch (config.scheme) {
     case Scheme::kAdc: {
       for (int i = 0; i < p; ++i) {
-        auto inner = std::make_unique<core::AdcProxy>(proxy_ids[static_cast<std::size_t>(i)],
-                                                      proxy_name(i), config.adc, proxy_ids,
-                                                      origin_id);
-        if (payload_store != nullptr) inner->enable_store(store_ctx);
-        if (!membership_on) {
-          sim.add_node(std::move(inner));
-          continue;
-        }
-        core::AdcProxy* adc = inner.get();
-        auto agent = std::make_unique<membership::MemberAgent>(std::move(inner), proxy_ids,
-                                                               config.membership);
-        membership::MemberAgent::Hooks hooks;
-        hooks.peer_dead = [adc, purged_entries](NodeId peer) {
-          *purged_entries += adc->handle_peer_dead(peer);
-        };
-        hooks.peer_joined = [adc](NodeId peer) { adc->handle_peer_joined(peer); };
-        hooks.send_repair = [adc](sim::Transport& net, NodeId peer, std::size_t batch) {
-          adc->send_anti_entropy(net, peer, batch);
-        };
-        if (store::ErasureTier* tier = adc->erasure_tier();
-            tier != nullptr && tier->restripe_enabled()) {
-          hooks.send_restripe = [tier](sim::Transport& net) { tier->restripe_round(net); };
-          hooks.restripe_pending = [tier] { return tier->restripe_pending(); };
-          repair_tiers.push_back(tier);
-        }
-        agent->set_hooks(std::move(hooks));
-        agents.push_back(agent.get());
-        sim.add_node(std::move(agent));
+        auto adc = std::make_unique<core::AdcProxy>(proxy_ids[static_cast<std::size_t>(i)],
+                                                    proxy::proxy_name(i), config.adc,
+                                                    proxy_ids, origin_id);
+        if (payload_store != nullptr) adc->enable_store(store_ctx);
+        add_member(std::move(adc));
       }
       break;
     }
     case Scheme::kCarp: {
-      std::vector<hash::CarpArray::Member> members;
-      for (int i = 0; i < p; ++i) {
-        const double load_factor =
-            config.carp_load_factors.empty() ? 1.0
-                                             : config.carp_load_factors[static_cast<std::size_t>(i)];
-        members.push_back({proxy_name(i), proxy_ids[static_cast<std::size_t>(i)], load_factor});
-      }
-      // The factory rebuilds the array over the surviving subset of the
-      // startup membership, keeping each member's name and load factor so
+      // Rebuilds keep each surviving member's name and load factor, so
       // ownership of the untouched key space is stable.
       const proxy::HashingProxy::OwnerMapFactory factory =
-          [members](const std::vector<NodeId>& ids) -> std::shared_ptr<const proxy::OwnerMap> {
-        std::vector<hash::CarpArray::Member> live;
-        for (const hash::CarpArray::Member& m : members) {
-          if (std::find(ids.begin(), ids.end(), m.node) != ids.end()) live.push_back(m);
-        }
-        return std::make_shared<proxy::CarpOwnerMap>(hash::CarpArray(std::move(live)));
-      };
-      auto owners = std::make_shared<proxy::CarpOwnerMap>(hash::CarpArray(std::move(members)));
+          [load_factors = config.carp_load_factors](const std::vector<NodeId>& ids) {
+            return proxy::make_carp_owners(ids, load_factors);
+          };
+      const auto owners = factory(proxy_ids);
       for (int i = 0; i < p; ++i) add_hashing_proxy(i, owners, factory);
       break;
     }
@@ -296,7 +254,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config, const workload::
       const proxy::HashingProxy::OwnerMapFactory factory =
           [](const std::vector<NodeId>& ids) -> std::shared_ptr<const proxy::OwnerMap> {
         hash::ConsistentHashRing ring;
-        for (const NodeId id : ids) ring.add_member(id, proxy_name(static_cast<int>(id)));
+        for (const NodeId id : ids) ring.add_member(id, proxy::proxy_name(id));
         return std::make_shared<proxy::RingOwnerMap>(std::move(ring));
       };
       auto owners = factory(proxy_ids);
@@ -307,7 +265,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config, const workload::
       const proxy::HashingProxy::OwnerMapFactory factory =
           [](const std::vector<NodeId>& ids) -> std::shared_ptr<const proxy::OwnerMap> {
         hash::RendezvousHash hrw;
-        for (const NodeId id : ids) hrw.add_member(id, proxy_name(static_cast<int>(id)));
+        for (const NodeId id : ids) hrw.add_member(id, proxy::proxy_name(id));
         return std::make_shared<proxy::RendezvousOwnerMap>(std::move(hrw));
       };
       auto owners = factory(proxy_ids);
@@ -317,7 +275,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config, const workload::
     case Scheme::kHierarchical: {
       for (int i = 0; i < p; ++i) {
         auto leaf = std::make_unique<proxy::CacheNode>(proxy_ids[static_cast<std::size_t>(i)],
-                                                       proxy_name(i), root_id,
+                                                       proxy::proxy_name(i), root_id,
                                                        baseline_capacity(config),
                                                        config.baseline_policy);
         if (payload_store != nullptr) leaf->enable_store(store_ctx);
@@ -335,7 +293,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config, const workload::
     case Scheme::kCoordinator: {
       for (int i = 0; i < p; ++i) {
         auto backend = std::make_unique<proxy::CacheNode>(proxy_ids[static_cast<std::size_t>(i)],
-                                                          proxy_name(i), origin_id,
+                                                          proxy::proxy_name(i), origin_id,
                                                           baseline_capacity(config),
                                                           config.baseline_policy);
         if (payload_store != nullptr) backend->enable_store(store_ctx);
@@ -350,7 +308,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config, const workload::
       auto categories = std::make_shared<proxy::CategoryMap>(config.soap_categories);
       for (int i = 0; i < p; ++i) {
         sim.add_node(std::make_unique<proxy::SoapProxy>(
-            proxy_ids[static_cast<std::size_t>(i)], proxy_name(i), categories, proxy_ids,
+            proxy_ids[static_cast<std::size_t>(i)], proxy::proxy_name(i), categories, proxy_ids,
             origin_id, baseline_capacity(config)));
       }
       break;
@@ -379,10 +337,8 @@ ExperimentResult run_experiment(const ExperimentConfig& config, const workload::
 
   if (config.fault.at_completed > 0) {
     const NodeId victim = proxy_ids[static_cast<std::size_t>(config.fault.proxy_index)];
-    const Scheme scheme = config.scheme;
-    client.at_completed(config.fault.at_completed, [&sim, victim, scheme, membership_on]() {
-      flush_proxy(sim, victim, scheme, membership_on);
-    });
+    client.at_completed(config.fault.at_completed,
+                        [&sim, victim]() { flush_proxy(sim, victim); });
   }
 
   // Message-level fault injection: the FaultyNetwork decides per transfer
@@ -393,12 +349,9 @@ ExperimentResult run_experiment(const ExperimentConfig& config, const workload::
   if (!config.fault_plan.is_zero()) {
     chaos = std::make_unique<fault::FaultyNetwork>(config.fault_plan);
     sim.set_fault_hook(chaos.get());
-    const Scheme scheme = config.scheme;
     for (const fault::CrashWindow& window : config.fault_plan.crashes) {
       if (!window.flush_state) continue;
-      sim.schedule(window.at, [&sim, victim = window.node, scheme, membership_on]() {
-        flush_proxy(sim, victim, scheme, membership_on);
-      });
+      sim.schedule(window.at, [&sim, victim = window.node]() { flush_proxy(sim, victim); });
     }
   }
   client.set_request_timeout(config.request_timeout);
@@ -413,28 +366,10 @@ ExperimentResult run_experiment(const ExperimentConfig& config, const workload::
     link_sched =
         std::make_unique<link::TransferScheduler>(sim, link::LinkModel(config.link, origin_id));
     sim.set_link_hook(link_sched.get());
-    if (payload_store != nullptr) {
-      link::TransferScheduler* sched = link_sched.get();
-      const store::ErasureTier::LoadProbe probe = [sched](NodeId peer) {
-        return sched->backlog_bytes(peer);
-      };
-      for (int i = 0; i < p; ++i) {
-        sim::Node* registered = &sim.node(proxy_ids[static_cast<std::size_t>(i)]);
-        sim::Node* node =
-            membership_on ? &static_cast<membership::MemberAgent*>(registered)->inner()
-                          : registered;
-        switch (config.scheme) {
-          case Scheme::kAdc:
-            static_cast<core::AdcProxy*>(node)->set_erasure_load_probe(probe);
-            break;
-          case Scheme::kCarp:
-          case Scheme::kConsistent:
-          case Scheme::kRendezvous:
-            static_cast<proxy::HashingProxy*>(node)->set_erasure_load_probe(probe);
-            break;
-          default:
-            break;  // the other schemes host no erasure tier
-        }
+    link::TransferScheduler* sched = link_sched.get();
+    for (membership::MemberNode* member : members) {
+      if (store::ErasureTier* tier = member->erasure_tier(); tier != nullptr) {
+        tier->set_load_probe([sched](NodeId peer) { return sched->backlog_bytes(peer); });
       }
     }
   }
@@ -450,16 +385,11 @@ ExperimentResult run_experiment(const ExperimentConfig& config, const workload::
     // Re-arm while the client has work OR re-stripe repair is still
     // queued: background healing may outlive the trace, and every queued
     // item eventually acks or abandons, so the extension is bounded.
-    const auto restripe_pending = [&repair_tiers] {
-      for (const store::ErasureTier* tier : repair_tiers) {
-        if (tier->restripe_pending()) return true;
-      }
-      return false;
-    };
-    membership_tick = [&sim, &client, &agents, &membership_tick, restripe_pending,
-                       tick_every]() {
+    membership_tick = [&sim, &client, &agents, &members, &membership_tick, tick_every]() {
       for (membership::MemberAgent* agent : agents) agent->tick(sim, sim.now());
-      if (!client.drained() || restripe_pending()) {
+      if (!client.drained() ||
+          std::any_of(members.begin(), members.end(),
+                      [](const membership::MemberNode* m) { return m->repair_pending(); })) {
         sim.schedule_after(tick_every, membership_tick);
       }
     };
@@ -498,7 +428,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config, const workload::
   result.summary.latency_p999 = result.latency_p999;
   if (chaos != nullptr) result.faults = chaos->counters();
   result.faults.timeouts += client.failed();
-  result.faults.entries_invalidated += *purged_entries;
 
   // Per-link-class traffic totals (message + byte counters kept by the
   // network on every send).
@@ -547,24 +476,22 @@ ExperimentResult run_experiment(const ExperimentConfig& config, const workload::
 
   for (int i = 0; i < p; ++i) {
     const NodeId proxy_id = proxy_ids[static_cast<std::size_t>(i)];
-    const sim::Node* registered = &sim.node(proxy_id);
-    bool count_membership = membership_on;
-    if (membership_on) {
-      const auto& agent = static_cast<const membership::MemberAgent&>(*registered);
-      count_membership = !majority_confirmed_dead(proxy_id);
-      if (count_membership) {
-        const membership::SwimStats& swim = agent.detector().stats();
-        result.membership.max_epoch =
-            std::max(result.membership.max_epoch, agent.detector().epoch());
-        result.membership.deaths += swim.deaths;
-        result.membership.joins += swim.joins;
-        result.membership.suspicions += swim.suspicions;
-        result.membership.refutations += swim.refutations;
-        result.membership.repair_rounds += agent.repair().rounds_fired();
-      }
-      registered = &agent.inner();
+    const bool count_membership = membership_on && !majority_confirmed_dead(proxy_id);
+    if (count_membership) {
+      const membership::MemberAgent& agent = *agents[static_cast<std::size_t>(i)];
+      const membership::SwimStats& swim = agent.detector().stats();
+      result.membership.max_epoch =
+          std::max(result.membership.max_epoch, agent.detector().epoch());
+      result.membership.deaths += swim.deaths;
+      result.membership.joins += swim.joins;
+      result.membership.suspicions += swim.suspicions;
+      result.membership.refutations += swim.refutations;
+      result.membership.repair_rounds += agent.repair().rounds_fired();
     }
-    const sim::Node& node = *registered;
+    const membership::MemberNode* member =
+        members.empty() ? nullptr : members[static_cast<std::size_t>(i)];
+    const sim::Node& node = member != nullptr ? *member : std::as_const(sim.node(proxy_id));
+    if (member != nullptr) collect_erasure(result.store, member->erasure());
     ProxySnapshot snapshot;
     snapshot.name = node.name();
     if (config.scheme == Scheme::kAdc) {
@@ -604,7 +531,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config, const workload::
       snapshot.payload_bytes_served = adc.stats().payload_bytes_served;
       result.store.payload_bytes_served += adc.stats().payload_bytes_served;
       result.store.payload_bytes_fetched += adc.stats().payload_bytes_fetched;
-      collect_erasure(result.store, adc.erasure());
     } else if (config.scheme == Scheme::kHierarchical ||
                config.scheme == Scheme::kCoordinator) {
       const auto& cn = static_cast<const proxy::CacheNode&>(node);
@@ -629,7 +555,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config, const workload::
       snapshot.payload_bytes_served = hp.stats().payload_bytes_served;
       result.store.payload_bytes_served += hp.stats().payload_bytes_served;
       result.store.payload_bytes_fetched += hp.stats().payload_bytes_fetched;
-      collect_erasure(result.store, hp.erasure());
       if (count_membership) {
         result.membership.max_reshuffle_fraction = std::max(
             result.membership.max_reshuffle_fraction, hp.stats().max_reshuffle_fraction);
@@ -643,6 +568,9 @@ ExperimentResult run_experiment(const ExperimentConfig& config, const workload::
     result.summary.owner_bytes.push_back(snapshot.payload_bytes_served);
     result.proxies.push_back(std::move(snapshot));
   }
+  // Confirmed deaths purge ADC mapping entries naming the dead peer; the
+  // proxies count them as peer_invalidations.
+  result.faults.entries_invalidated += result.adc_totals.peer_invalidations;
 
   // Post-run stripe census: union the chunk directories of every proxy
   // still standing at sim end (crash windows that never restarted exclude
@@ -657,26 +585,9 @@ ExperimentResult run_experiment(const ExperimentConfig& config, const workload::
       }
     }
     std::unordered_map<ObjectId, std::uint64_t> index_mask;
-    for (int i = 0; i < p; ++i) {
-      const NodeId proxy_id = proxy_ids[static_cast<std::size_t>(i)];
-      if (down.count(proxy_id) != 0) continue;
-      const sim::Node* registered = &sim.node(proxy_id);
-      if (membership_on) {
-        registered = &static_cast<const membership::MemberAgent*>(registered)->inner();
-      }
-      const store::ErasureTier* tier = nullptr;
-      switch (config.scheme) {
-        case Scheme::kAdc:
-          tier = static_cast<const core::AdcProxy*>(registered)->erasure();
-          break;
-        case Scheme::kCarp:
-        case Scheme::kConsistent:
-        case Scheme::kRendezvous:
-          tier = static_cast<const proxy::HashingProxy*>(registered)->erasure();
-          break;
-        default:
-          break;  // the other schemes host no erasure tier
-      }
+    for (const membership::MemberNode* member : members) {
+      if (down.count(member->id()) != 0) continue;
+      const store::ErasureTier* tier = member->erasure();
       if (tier == nullptr) continue;
       tier->for_each_chunk([&index_mask](ObjectId object, int index, std::uint64_t) {
         if (index >= 0 && index < 64) index_mask[object] |= 1ULL << index;

@@ -95,10 +95,11 @@ struct ExperimentConfig {
   /// wrapped in a membership::MemberAgent; a confirmed death prunes the
   /// ADC mapping tables and forwarding membership, or rebuilds the
   /// CARP/ring/HRW owner map, and a rejoin reverses it.  Supported for
-  /// kAdc, kCarp, kConsistent, kRendezvous; ignored for the other schemes
-  /// (their topology is fixed by construction).  With zero churn a
-  /// detector-enabled run is bit-identical to a disabled one apart from
-  /// raw message/event counts (SWIM probes ride the same transport).
+  /// kAdc, kCarp, kConsistent, kRendezvous; run_experiment rejects it for
+  /// the other schemes (their topology is fixed by construction).  With
+  /// zero churn a detector-enabled run is bit-identical to a disabled one
+  /// apart from raw message/event counts (SWIM probes ride the same
+  /// transport).
   membership::MembershipConfig membership;
 
   /// When true, each ProxySnapshot also lists the object ids cached at
@@ -124,8 +125,11 @@ struct ExperimentConfig {
   /// byte-budgeted and size-aware, and (payload.erasure.enabled) proxies
   /// host an erasure tier answering post-death misses as degraded reads.
   /// Disabled (the default) the run is bit-identical to a store-free
-  /// build: the store consumes no shared RNG state.  Applied to every
-  /// scheme except kSoap (whose category tables predate the store).
+  /// build: the store consumes no shared RNG state.  run_experiment
+  /// rejects it for kSoap (whose category tables predate the store), the
+  /// erasure tier for kHierarchical and kCoordinator (no flat stripe
+  /// membership), and erasure.restripe without the erasure tier or without
+  /// membership.swim.enabled (deaths come from SWIM).
   store::PayloadConfig payload;
 
   /// Bandwidth model (link.enabled): every send over a finite-capacity
@@ -299,7 +303,9 @@ class TraceStream final : public proxy::RequestStream {
 /// Runs the full trace through a freshly built deployment and returns the
 /// collected metrics.  Deterministic in (config, trace).  Throws
 /// std::invalid_argument when `fault.proxy_index` (with `fault.at_completed`
-/// set) or a `flush_state` crash window's node is not a proxy index.
+/// set) or a `flush_state` crash window's node is not a proxy index, and
+/// for a scheme x feature combination the scheme cannot run (see
+/// `membership` and `payload`).
 ExperimentResult run_experiment(const ExperimentConfig& config, const workload::Trace& trace);
 
 }  // namespace adc::driver

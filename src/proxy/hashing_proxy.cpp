@@ -10,11 +10,25 @@ using sim::Message;
 using sim::MessageKind;
 using sim::Transport;
 
+std::string proxy_name(NodeId id) { return "proxy[" + std::to_string(id) + "]"; }
+
+std::shared_ptr<const OwnerMap> make_carp_owners(const std::vector<NodeId>& ids,
+                                                 const std::vector<double>& load_factors) {
+  std::vector<hash::CarpArray::Member> members;
+  members.reserve(ids.size());
+  for (const NodeId id : ids) {
+    const double load_factor =
+        load_factors.empty() ? 1.0 : load_factors.at(static_cast<std::size_t>(id));
+    members.push_back({proxy_name(id), id, load_factor});
+  }
+  return std::make_shared<CarpOwnerMap>(hash::CarpArray(std::move(members)));
+}
+
 HashingProxy::HashingProxy(NodeId id, std::string name,
                            std::shared_ptr<const OwnerMap> owners, NodeId origin,
                            std::size_t cache_capacity, cache::Policy policy,
                            bool entry_caching)
-    : Node(id, sim::NodeKind::kProxy, std::move(name)),
+    : MemberNode(id, sim::NodeKind::kProxy, std::move(name)),
       owners_(std::move(owners)),
       origin_(origin),
       cache_capacity_(cache_capacity),
@@ -74,26 +88,26 @@ void HashingProxy::set_owner_map_factory(OwnerMapFactory factory,
   std::sort(members_.begin(), members_.end());
 }
 
-double HashingProxy::handle_peer_dead(NodeId peer) {
+void HashingProxy::handle_peer_dead(NodeId peer) {
   if (erasure_ != nullptr) erasure_->handle_peer_dead(peer);
-  if (!factory_ || peer == id()) return 0.0;
+  if (!factory_ || peer == id()) return;
   const auto it = std::find(members_.begin(), members_.end(), peer);
-  if (it == members_.end()) return 0.0;
+  if (it == members_.end()) return;
   members_.erase(it);
   if (members_.empty()) members_.push_back(id());
-  return rebuild_owners();
+  rebuild_owners();
 }
 
-double HashingProxy::handle_peer_joined(NodeId peer) {
+void HashingProxy::handle_peer_joined(NodeId peer) {
   if (erasure_ != nullptr) erasure_->handle_peer_joined(peer);
-  if (!factory_) return 0.0;
+  if (!factory_) return;
   const auto pos = std::lower_bound(members_.begin(), members_.end(), peer);
-  if (pos != members_.end() && *pos == peer) return 0.0;
+  if (pos != members_.end() && *pos == peer) return;
   members_.insert(pos, peer);
-  return rebuild_owners();
+  rebuild_owners();
 }
 
-double HashingProxy::rebuild_owners() {
+void HashingProxy::rebuild_owners() {
   std::shared_ptr<const OwnerMap> fresh = factory_(members_);
   assert(fresh != nullptr);
   ObjectId moved = 0;
@@ -107,7 +121,6 @@ double HashingProxy::rebuild_owners() {
       static_cast<double>(moved) / static_cast<double>(kReshuffleSample);
   stats_.max_reshuffle_fraction =
       std::max(stats_.max_reshuffle_fraction, stats_.last_reshuffle_fraction);
-  return stats_.last_reshuffle_fraction;
 }
 
 void HashingProxy::send_reply_toward_client(Transport& net, Message reply, NodeId entry) {

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -29,6 +30,7 @@
 #include "hash/carp.h"
 #include "hash/consistent_hash.h"
 #include "hash/rendezvous.h"
+#include "membership/member_node.h"
 #include "sim/node.h"
 #include "sim/transport.h"
 #include "store/erasure_tier.h"
@@ -72,6 +74,17 @@ class RendezvousOwnerMap final : public OwnerMap {
   hash::RendezvousHash hrw_;
 };
 
+/// Name of proxy `id`: "proxy[id]".  Owner maps hash member names (CARP,
+/// ring, HRW), so the simulator and adcd agree on object ownership because
+/// both name members through this one rule.
+std::string proxy_name(NodeId id);
+
+/// The CARP owner map over `ids`, member `id` weighted by
+/// `load_factors[id]` (empty = every member 1.0).  Used for the startup map
+/// and for every membership rebuild, by the driver and the daemon alike.
+std::shared_ptr<const OwnerMap> make_carp_owners(const std::vector<NodeId>& ids,
+                                                 const std::vector<double>& load_factors = {});
+
 struct HashingProxyStats {
   std::uint64_t requests_received = 0;
   std::uint64_t local_hits = 0;
@@ -92,7 +105,7 @@ struct HashingProxyStats {
   std::uint64_t degraded_reads_served = 0;  // misses answered by reconstruction
 };
 
-class HashingProxy final : public sim::Node {
+class HashingProxy final : public membership::MemberNode {
  public:
   /// Rebuilds an OwnerMap from a membership (ids of the live proxies).
   /// Captures whatever naming / load-factor context the scheme needs.
@@ -121,23 +134,11 @@ class HashingProxy final : public sim::Node {
   /// proxies.  Must run before traffic starts.
   void enable_store(const store::StoreContext& ctx);
 
-  const store::ErasureTier* erasure() const noexcept { return erasure_.get(); }
-
-  /// Mutable tier access for the hosts that drive background repair
-  /// rounds (membership hooks, the live daemon).  Null while no tier.
-  store::ErasureTier* erasure_tier() noexcept { return erasure_.get(); }
-
-  /// Wires a link-load oracle into the hosted erasure tier (no-op while no
-  /// tier exists).  Must run after enable_store.
-  void set_erasure_load_probe(store::ErasureTier::LoadProbe probe) {
-    if (erasure_ != nullptr) erasure_->set_load_probe(std::move(probe));
-  }
-
   /// Fault injection: drops every cached object (cold restart; in-flight
   /// fetch routes survive).  Stripe-chunk *presence* survives a flush —
   /// chunk bytes are regenerable from the deterministic store, so the
   /// directory is the only state and a restarted daemon re-announces it.
-  void flush() {
+  void flush() override {
     cache_->clear();
     versions_.clear();
   }
@@ -150,15 +151,15 @@ class HashingProxy final : public sim::Node {
 
   /// Confirmed membership change: removes/reinstates the peer and rebuilds
   /// the owner map, measuring the fraction of sampled objects whose owner
-  /// moved.  Returns that fraction (0 when nothing changed or no factory
-  /// is installed).  The local cache is kept — entries the proxy no longer
-  /// owns simply age out, mirroring what a real CARP member does.
-  double handle_peer_dead(NodeId peer);
-  double handle_peer_joined(NodeId peer);
+  /// moved (stats().last/max_reshuffle_fraction; nothing changes without a
+  /// factory).  The local cache is kept — entries the proxy no longer owns
+  /// simply age out, mirroring what a real CARP member does.
+  void handle_peer_dead(NodeId peer) override;
+  void handle_peer_joined(NodeId peer) override;
 
  private:
   /// Recomputes owners_ from members_ and updates the reshuffle stats.
-  double rebuild_owners();
+  void rebuild_owners();
   void receive_request(sim::Transport& net, const sim::Message& msg);
   void receive_reply(sim::Transport& net, const sim::Message& msg);
   void handle_chunk_reply(sim::Transport& net, const sim::Message& msg);
@@ -177,7 +178,6 @@ class HashingProxy final : public sim::Node {
   bool entry_caching_;
 
   store::PayloadStorePtr store_;
-  std::unique_ptr<store::ErasureTier> erasure_;
 
   /// Owner-side state for in-flight origin fetches: where the reply must
   /// be routed once the origin answers.

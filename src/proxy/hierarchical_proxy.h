@@ -49,7 +49,7 @@ class CacheNode final : public sim::Node {
 
   /// Fault injection: drops every cached object (cold restart; in-flight
   /// fetch routes survive).
-  void flush() {
+  void flush() override {
     cache_->clear();
     versions_.clear();
   }

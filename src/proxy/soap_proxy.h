@@ -70,7 +70,7 @@ class SoapProxy final : public sim::Node {
 
   /// Fault injection: drops the cache and resets every learned score (cold
   /// restart; in-flight fetch routes survive).
-  void flush() {
+  void flush() override {
     cache_->clear();
     versions_.clear();
     scores_.assign(scores_.size(), 0.5);

@@ -42,8 +42,8 @@
 #include "util/rng.h"
 #include "util/types.h"
 
-namespace adc::store {
-class ErasureTier;
+namespace adc::core {
+class AdcProxy;
 }
 
 namespace adc::server {
@@ -168,13 +168,16 @@ class NodeDaemon final : public sim::Transport {
 
   const DaemonStats& stats() const noexcept { return stats_; }
   NodeId node_id() const noexcept { return config_.node_id; }
+  /// The protocol agent (never the membership wrapper).
   sim::Node& hosted() noexcept { return *node_; }
 
   /// The hosted proxy's erasure tier, or nullptr (origin role, store or
   /// erasure disabled).  Loop thread only, like the stats.
-  store::ErasureTier* hosted_tier() noexcept;
+  store::ErasureTier* hosted_tier() noexcept {
+    return member_ != nullptr ? member_->erasure_tier() : nullptr;
+  }
   const store::ErasureTier* hosted_tier() const noexcept {
-    return const_cast<NodeDaemon*>(this)->hosted_tier();
+    return member_ != nullptr ? member_->erasure() : nullptr;
   }
 
   /// Resilience counters (retries/reconnects/degraded fetches/table
@@ -191,7 +194,7 @@ class NodeDaemon final : public sim::Transport {
   }
 
   /// Re-stripe repair items still queued on the hosted tier, snapshotted
-  /// by the loop every membership drive.  Atomic for the same reason as
+  /// by the loop after every membership tick.  Atomic for the same reason as
   /// membership_epoch: a harness can await repair quiescence (backlog 0
   /// after a death was confirmed) without racing the loop thread.
   std::uint64_t restripe_backlog() const noexcept {
@@ -200,7 +203,9 @@ class NodeDaemon final : public sim::Transport {
 
   /// The failure detector, or nullptr when membership is disabled.  Only
   /// safe to read from the loop thread (or after run() returned).
-  const membership::SwimDetector* detector() const noexcept { return detector_.get(); }
+  const membership::SwimDetector* detector() const noexcept {
+    return agent_ != nullptr ? &agent_->detector() : nullptr;
+  }
 
   /// Egress-pacing introspection (loop thread only, like the stats).
   std::size_t egress_queue_depth() const noexcept { return egress_q_.size(); }
@@ -245,11 +250,9 @@ class NodeDaemon final : public sim::Transport {
   /// records the failure against any peer routed over it.
   void account_dead_conn(int fd, net::Conn::Io io);
 
-  /// Detector callbacks (confirmed transitions) and the per-poll driver
-  /// for probes, timeouts and repair rounds.
-  void on_member_dead(NodeId peer);
-  void on_member_joined(NodeId peer);
-  void drive_membership();
+  /// Snapshots the detector's epoch and the tier's repair backlog into
+  /// the atomics harnesses poll (after every tick and SWIM frame).
+  void publish_membership();
 
   /// Fills `wire.body`/`wire.checksum` for payload-carrying frame kinds
   /// (replies get a body-pattern sample, chunk replies a chunk sample).
@@ -278,15 +281,19 @@ class NodeDaemon final : public sim::Transport {
   sim::FaultCounters fault_stats_;
   std::set<NodeId> dialed_before_;  // peers that had their startup dial
 
-  std::unique_ptr<membership::SwimDetector> detector_;  // null when disabled
-  std::unique_ptr<membership::RepairScheduler> repair_;
-  bool transition_pending_ = false;
   std::atomic<std::uint64_t> membership_epoch_{0};
   std::atomic<std::uint64_t> restripe_backlog_{0};
 
   store::PayloadStorePtr store_;  // null with the payload store disabled
 
-  std::unique_ptr<sim::Node> node_;
+  /// The protocol agent frames are delivered to; owned by `agent_` when
+  /// membership is on, by `owned_` otherwise.  `member_` is the same agent
+  /// for the proxy roles (null for the origin), `adc_` for the ADC role.
+  std::unique_ptr<sim::Node> owned_;
+  std::unique_ptr<membership::MemberAgent> agent_;  // SWIM + repair rounds
+  sim::Node* node_ = nullptr;
+  membership::MemberNode* member_ = nullptr;
+  core::AdcProxy* adc_ = nullptr;
   net::EventLoop loop_;
   int listener_ = -1;
   std::map<int, std::unique_ptr<net::Conn>> conns_;

@@ -36,6 +36,11 @@ class Node {
   /// Delivery callback; `msg` is the node's to own.
   virtual void on_message(Transport& net, const Message& msg) = 0;
 
+  /// Fault injection: a cold restart wipes learned state (caches, tables)
+  /// while connectivity and in-flight journeys survive.  Nodes that learn
+  /// nothing (client, origin) keep the no-op.
+  virtual void flush() {}
+
  private:
   NodeId id_;
   NodeKind kind_;

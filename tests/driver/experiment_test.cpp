@@ -336,5 +336,52 @@ TEST(ExperimentValidation, IgnoresSlowProxyIndexWhenThereIsNoDelay) {
   EXPECT_EQ(ignored.sim_end_time, homogeneous.sim_end_time);
 }
 
+TEST(ExperimentValidation, RejectsMembershipForFixedTopologySchemes) {
+  const auto trace = small_trace();
+  for (const Scheme scheme : {Scheme::kHierarchical, Scheme::kCoordinator, Scheme::kSoap}) {
+    ExperimentConfig config = small_config(scheme);
+    config.membership.swim.enabled = true;
+    EXPECT_THROW(run_experiment(config, trace), std::invalid_argument) << scheme_name(scheme);
+  }
+}
+
+TEST(ExperimentValidation, RejectsPayloadForSoap) {
+  const auto trace = small_trace();
+  ExperimentConfig config = small_config(Scheme::kSoap);
+  config.payload.enabled = true;
+  EXPECT_THROW(run_experiment(config, trace), std::invalid_argument);
+}
+
+TEST(ExperimentValidation, RejectsErasureForSchemesWithoutATier) {
+  const auto trace = small_trace();
+  for (const Scheme scheme : {Scheme::kHierarchical, Scheme::kCoordinator}) {
+    ExperimentConfig config = small_config(scheme);
+    config.payload.enabled = true;
+    EXPECT_EQ(run_experiment(config, trace).summary.completed, trace.size());
+    config.payload.erasure.enabled = true;
+    EXPECT_THROW(run_experiment(config, trace), std::invalid_argument) << scheme_name(scheme);
+  }
+}
+
+TEST(ExperimentValidation, RejectsRestripeWithoutErasure) {
+  const auto trace = small_trace();
+  ExperimentConfig config = small_config(Scheme::kCarp);
+  config.membership.swim.enabled = true;
+  config.payload.enabled = true;
+  config.payload.erasure.restripe = true;
+  EXPECT_THROW(run_experiment(config, trace), std::invalid_argument);
+  config.payload.erasure.enabled = true;
+  EXPECT_EQ(run_experiment(config, trace).summary.completed, trace.size());
+}
+
+TEST(ExperimentValidation, RejectsRestripeWithoutSwim) {
+  const auto trace = small_trace();
+  ExperimentConfig config = small_config(Scheme::kAdc);
+  config.payload.enabled = true;
+  config.payload.erasure.enabled = true;
+  config.payload.erasure.restripe = true;
+  EXPECT_THROW(run_experiment(config, trace), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace adc::driver

@@ -179,5 +179,28 @@ TEST(MembershipExperiment, AdcCrashTriggersSilentPeerPurgeAndRepair) {
   EXPECT_GT(result.summary.hit_rate(), 0.0);
 }
 
+TEST(MembershipExperiment, PurgeCountIsTheProxiesPeerInvalidations) {
+  const auto trace = tiny_trace();
+  const auto probe = run_experiment(base_config(Scheme::kAdc), trace);
+
+  ExperimentConfig config = base_config(Scheme::kAdc);
+  config.membership.swim.enabled = true;
+  fault::CrashWindow window;
+  window.node = 1;
+  window.at = probe.sim_end_time / 3;
+  window.restart = kSimTimeMax;
+  window.flush_state = true;
+  config.fault_plan.crashes.push_back(window);
+  config.request_timeout =
+      std::max<SimTime>(static_cast<SimTime>(probe.latency_p99 * 20.0), 1000);
+  const auto result = run_experiment(config, trace);
+
+  // The confirmed death purged entries naming the dead member, and the run's
+  // purge count is exactly what the proxies themselves counted.
+  EXPECT_GE(result.membership.deaths, 2u);
+  EXPECT_GT(result.faults.entries_invalidated, 0u);
+  EXPECT_EQ(result.faults.entries_invalidated, result.adc_totals.peer_invalidations);
+}
+
 }  // namespace
 }  // namespace adc::driver
